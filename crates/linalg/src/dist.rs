@@ -98,12 +98,38 @@ pub fn logsumexp(xs: &[f64]) -> f64 {
 
 /// Softmax, computed stably, in place.
 pub fn softmax_inplace(xs: &mut [f64]) {
+    let sum = exp_shifted(xs).1;
+    normalize(xs, sum);
+}
+
+/// Softmax in place, returning the log-sum-exp of the input. The result
+/// and the probabilities are bit-identical to [`logsumexp`] followed by
+/// [`softmax_inplace`], but each `exp` is computed once: both sum the
+/// same non-negative terms in the same order, and a start of `-0.0` or
+/// `0.0` gives the same sum for such terms.
+pub fn softmax_logsumexp_inplace(xs: &mut [f64]) -> f64 {
+    let (m, sum) = exp_shifted(xs);
+    normalize(xs, sum);
+    if m.is_infinite() {
+        m
+    } else {
+        m + sum.ln()
+    }
+}
+
+/// Replace each `x` by `exp(x - max)`; returns `(max, sum of the exps)`.
+fn exp_shifted(xs: &mut [f64]) -> (f64, f64) {
     let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;
     for x in xs.iter_mut() {
         *x = (*x - m).exp();
         sum += *x;
     }
+    (m, sum)
+}
+
+/// Divide by `sum`, or fall back to uniform when it is not positive.
+fn normalize(xs: &mut [f64], sum: f64) {
     if sum > 0.0 {
         for x in xs.iter_mut() {
             *x /= sum;
@@ -135,6 +161,30 @@ pub fn sigmoid(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fused_softmax_logsumexp_is_bit_identical() {
+        let cases: &[&[f64]] = &[
+            &[],
+            &[0.0],
+            &[1.0, 2.0, 3.0],
+            &[-1e3, 0.5, 1e3, -0.0],
+            &[f64::NEG_INFINITY, f64::NEG_INFINITY],
+            &[f64::INFINITY, 1.0],
+            &[f64::NAN, 2.0, -3.0],
+            &[700.0, -745.0, 1e-300, 3.25],
+        ];
+        for &case in cases {
+            let mut a = case.to_vec();
+            let lse_a = logsumexp(&a);
+            softmax_inplace(&mut a);
+            let mut b = case.to_vec();
+            let lse_b = softmax_logsumexp_inplace(&mut b);
+            assert_eq!(lse_a.to_bits(), lse_b.to_bits(), "{case:?}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "{case:?}");
+        }
+    }
 
     #[test]
     fn erf_known_values() {

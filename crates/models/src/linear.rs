@@ -6,10 +6,18 @@
 //! is *scale sensitive*: with a fixed iteration budget, badly scaled
 //! features slow convergence and cost accuracy, which is precisely the
 //! effect feature preprocessing repairs.
+//!
+//! **Kernel invariant.** The training matrix is sanitized once, before
+//! the epoch loop, and each logit's `exp` serves both the loss and the
+//! softmax. The per-element float operations and their order are a
+//! contract, pinned by `tests/kernels.rs` and every golden and bit-identity
+//! suite: an optimization may drop redundant work but never reorder a
+//! reduction. A change that does needs a recorded accuracy diff over a
+//! stored trial matrix (the store diff) first.
 
 use crate::cancel::CancelToken;
 use crate::classifier::{Classifier, Trainer};
-use autofp_linalg::dist::softmax_inplace;
+use autofp_linalg::dist::{softmax_inplace, softmax_logsumexp_inplace};
 use autofp_linalg::Matrix;
 
 /// Hyperparameters for [`LogisticRegression`] training.
@@ -102,6 +110,7 @@ impl LogisticParams {
         let nf = n.max(1) as f64;
         let mut prev_loss = f64::INFINITY;
 
+        let xs = sanitized(x);
         let mut probs = vec![0.0; k];
         let mut grad = Matrix::zeros(k, d + 1);
         for epoch in 1..=epochs {
@@ -112,26 +121,25 @@ impl LogisticParams {
             }
             grad.as_mut_slice().fill(0.0);
             let mut loss = 0.0;
-            for (i, row) in x.rows_iter().enumerate() {
+            for (i, row) in xs.rows_iter().enumerate() {
                 for (c, p) in probs.iter_mut().enumerate() {
                     let wr = w.row(c);
                     let mut z = wr[d];
-                    for (j, &val) in row.iter().enumerate() {
-                        z += wr[j] * sanitize(val);
+                    for (&wv, &val) in wr.iter().zip(row) {
+                        z += wv * val;
                     }
                     *p = z;
                 }
-                let lse = autofp_linalg::dist::logsumexp(&probs);
-                loss += lse - probs[y[i]];
-                softmax_inplace(&mut probs);
+                let target_logit = probs[y[i]];
+                loss += softmax_logsumexp_inplace(&mut probs) - target_logit;
                 for c in 0..k {
                     let delta = probs[c] - if c == y[i] { 1.0 } else { 0.0 };
                     if delta == 0.0 {
                         continue;
                     }
                     let g = grad.row_mut(c);
-                    for (j, &val) in row.iter().enumerate() {
-                        g[j] += delta * sanitize(val);
+                    for (gv, &val) in g.iter_mut().zip(row) {
+                        *gv += delta * val;
                     }
                     g[d] += delta;
                 }
@@ -191,13 +199,23 @@ impl Trainer for LogisticParams {
     }
 }
 
+/// Map a feature cell into the range the trainers accept: non-finite
+/// cells become 0 and finite ones are clamped to ±1e12.
 #[inline]
-fn sanitize(v: f64) -> f64 {
+pub(crate) fn sanitize(v: f64) -> f64 {
     if v.is_finite() {
         v.clamp(-1e12, 1e12)
     } else {
         0.0
     }
+}
+
+/// `x` with every cell passed through [`sanitize`]. The training loops
+/// read this copy, so no cell is sanitized again per epoch.
+pub(crate) fn sanitized(x: &Matrix) -> Matrix {
+    let mut out = x.clone();
+    out.map_inplace(sanitize);
+    out
 }
 
 #[inline]

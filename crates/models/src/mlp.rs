@@ -5,9 +5,17 @@
 //! epoch budget with unit-scale He initialization — so unscaled or
 //! heavily skewed inputs genuinely hurt it, reproducing the paper's
 //! largest FP gains (e.g. +36% on EEG, +69% on Pd with MLP).
+//!
+//! **Kernel invariant.** The training matrix is sanitized once, before
+//! the epoch loop. The per-element float operations and their order are a
+//! contract, pinned by `tests/kernels.rs` and every golden and bit-identity
+//! suite: an optimization may drop redundant work but never reorder a
+//! reduction. A change that does needs a recorded accuracy diff over a
+//! stored trial matrix (the store diff) first.
 
 use crate::cancel::CancelToken;
 use crate::classifier::{Classifier, Trainer};
+use crate::linear::{sanitize, sanitized};
 use autofp_linalg::dist::softmax_inplace;
 use autofp_linalg::rng::{derive_seed, rng_from_seed, standard_normal};
 use autofp_linalg::Matrix;
@@ -160,6 +168,7 @@ impl MlpParams {
         let mut adam2 = Adam::new(k, h + 1);
         let mut g1 = Matrix::zeros(h, d + 1);
         let mut g2 = Matrix::zeros(k, h + 1);
+        let xs = sanitized(x);
         let mut order: Vec<usize> = (0..n).collect();
         let mut hidden = vec![0.0; h];
         let mut act = vec![false; h];
@@ -177,12 +186,12 @@ impl MlpParams {
                 g1.as_mut_slice().fill(0.0);
                 g2.as_mut_slice().fill(0.0);
                 for &i in batch {
-                    let row = x.row(i);
+                    let row = xs.row(i);
                     // Forward.
                     for (jh, (a, wr)) in hidden.iter_mut().zip(w1.rows_iter()).enumerate() {
                         let mut z = wr[d];
-                        for (j, &v) in row.iter().enumerate() {
-                            z += wr[j] * sanitize(v);
+                        for (&w, &v) in wr.iter().zip(row) {
+                            z += w * v;
                         }
                         act[jh] = z > 0.0;
                         *a = z.max(0.0);
@@ -190,8 +199,8 @@ impl MlpParams {
                     for (c, p) in probs.iter_mut().enumerate() {
                         let wr = w2.row(c);
                         let mut z = wr[h];
-                        for (j, &a) in hidden.iter().enumerate() {
-                            z += wr[j] * a;
+                        for (&w, &a) in wr.iter().zip(&hidden) {
+                            z += w * a;
                         }
                         *p = z;
                     }
@@ -204,13 +213,12 @@ impl MlpParams {
                             continue;
                         }
                         let gr = g2.row_mut(c);
-                        for (j, &a) in hidden.iter().enumerate() {
-                            gr[j] += delta * a;
+                        for (g, &a) in gr.iter_mut().zip(&hidden) {
+                            *g += delta * a;
                         }
                         gr[h] += delta;
-                        let wr = w2.row(c);
-                        for (j, dh) in dhidden.iter_mut().enumerate() {
-                            *dh += delta * wr[j];
+                        for (dh, &w) in dhidden.iter_mut().zip(w2.row(c)) {
+                            *dh += delta * w;
                         }
                     }
                     for (jh, &dh) in dhidden.iter().enumerate() {
@@ -218,8 +226,8 @@ impl MlpParams {
                             continue;
                         }
                         let gr = g1.row_mut(jh);
-                        for (j, &v) in row.iter().enumerate() {
-                            gr[j] += dh * sanitize(v);
+                        for (g, &v) in gr.iter_mut().zip(row) {
+                            *g += dh * v;
                         }
                         gr[d] += dh;
                     }
@@ -264,15 +272,6 @@ impl Trainer for MlpParams {
 
     fn name(&self) -> &'static str {
         "MLP"
-    }
-}
-
-#[inline]
-fn sanitize(v: f64) -> f64 {
-    if v.is_finite() {
-        v.clamp(-1e12, 1e12)
-    } else {
-        0.0
     }
 }
 

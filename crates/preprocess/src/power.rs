@@ -7,6 +7,14 @@
 //! is unimodal in practice). With `standardize = true` (the sklearn
 //! default) the transformed column is then scaled to zero mean and unit
 //! variance.
+//!
+//! **Kernel invariant.** The λ-independent `ln(1 + |x|)` and Jacobian
+//! terms are computed once per column, outside the golden-section loop.
+//! The per-element float operations and their order are a contract,
+//! pinned by `tests/kernels.rs` and every golden and bit-identity suite:
+//! an optimization may drop redundant work but never reorder a reduction.
+//! A change that does needs a recorded accuracy diff over a stored trial
+//! matrix (the store diff) first.
 
 use autofp_linalg::stats;
 use autofp_linalg::Matrix;
@@ -21,11 +29,25 @@ const MAX_EXPONENT: f64 = 350.0;
 
 /// Yeo-Johnson transform of a single value (Eq. 1).
 pub fn yeo_johnson(x: f64, lambda: f64) -> f64 {
+    yeo_johnson_log(x, log1p_abs(x), lambda)
+}
+
+/// `ln(1 + |x|)`, the λ-independent factor of [`yeo_johnson`]. For
+/// `x < 0`, `1 - x` and `|x| + 1` are the same float, so one value
+/// serves both branches and the Jacobian term.
+#[inline]
+fn log1p_abs(x: f64) -> f64 {
+    (x.abs() + 1.0).ln()
+}
+
+/// [`yeo_johnson`] given `lg = log1p_abs(x)`.
+#[inline]
+fn yeo_johnson_log(x: f64, lg: f64, lambda: f64) -> f64 {
     if x >= 0.0 {
         if lambda.abs() < 1e-12 {
-            (x + 1.0).ln()
+            lg
         } else {
-            let e = lambda * (x + 1.0).ln();
+            let e = lambda * lg;
             if e > MAX_EXPONENT {
                 f64::INFINITY
             } else {
@@ -33,9 +55,9 @@ pub fn yeo_johnson(x: f64, lambda: f64) -> f64 {
             }
         }
     } else if (lambda - 2.0).abs() < 1e-12 {
-        -(1.0 - x).ln()
+        -lg
     } else {
-        let e = (2.0 - lambda) * (1.0 - x).ln();
+        let e = (2.0 - lambda) * lg;
         if e > MAX_EXPONENT {
             f64::NEG_INFINITY
         } else {
@@ -44,54 +66,84 @@ pub fn yeo_johnson(x: f64, lambda: f64) -> f64 {
     }
 }
 
-/// Yeo-Johnson profile log-likelihood of a column for a given λ
-/// (the scipy `yeojohnson_llf` objective).
-fn log_likelihood(col: &[f64], lambda: f64) -> f64 {
-    let n = col.len() as f64;
-    if n < 2.0 {
-        return 0.0;
+/// One column's λ-independent terms, computed once per fit and reused
+/// by every likelihood evaluation of the λ search.
+struct LogColumn<'a> {
+    col: &'a [f64],
+    /// `log1p_abs` of each value.
+    logs: Vec<f64>,
+    /// `Σ sign(x) ln(1 + |x|)`, the Jacobian before its `(λ - 1)` factor.
+    jacobian: f64,
+    /// Transform buffer, overwritten by each evaluation.
+    buf: Vec<f64>,
+}
+
+impl<'a> LogColumn<'a> {
+    fn new(col: &'a [f64]) -> LogColumn<'a> {
+        let logs: Vec<f64> = col.iter().map(|&x| log1p_abs(x)).collect();
+        let jacobian = col.iter().zip(&logs).map(|(&x, &lg)| x.signum() * lg).sum::<f64>();
+        LogColumn { col, logs, jacobian, buf: Vec::with_capacity(col.len()) }
     }
-    let transformed: Vec<f64> = col.iter().map(|&x| yeo_johnson(x, lambda)).collect();
-    if transformed.iter().any(|v| !v.is_finite()) {
-        return f64::NEG_INFINITY;
+
+    /// Fill the buffer with the column transformed at `lambda`.
+    fn transform(&mut self, lambda: f64) {
+        self.buf.clear();
+        let values = self.col.iter().zip(&self.logs);
+        self.buf.extend(values.map(|(&x, &lg)| yeo_johnson_log(x, lg, lambda)));
     }
-    let var = stats::variance(&transformed);
-    if var <= 1e-300 {
-        return f64::NEG_INFINITY;
+
+    /// Yeo-Johnson profile log-likelihood at `lambda` (the scipy
+    /// `yeojohnson_llf` objective).
+    fn log_likelihood(&mut self, lambda: f64) -> f64 {
+        let n = self.col.len() as f64;
+        if n < 2.0 {
+            return 0.0;
+        }
+        self.transform(lambda);
+        if self.buf.iter().any(|v| !v.is_finite()) {
+            return f64::NEG_INFINITY;
+        }
+        let var = stats::variance(&self.buf);
+        if var <= 1e-300 {
+            return f64::NEG_INFINITY;
+        }
+        -n / 2.0 * var.ln() + self.jacobian * (lambda - 1.0)
     }
-    let jacobian: f64 =
-        col.iter().map(|&x| x.signum() * (x.abs() + 1.0).ln()).sum::<f64>() * (lambda - 1.0);
-    -n / 2.0 * var.ln() + jacobian
+
+    /// Maximum-likelihood λ via golden-section search.
+    fn optimal_lambda(&mut self) -> f64 {
+        // Constant columns: λ is irrelevant; use identity (λ = 1).
+        if stats::variance(self.col) <= 1e-300 {
+            return 1.0;
+        }
+        let phi = (5f64.sqrt() - 1.0) / 2.0;
+        let (mut a, mut b) = (LAMBDA_LO, LAMBDA_HI);
+        let mut c = b - phi * (b - a);
+        let mut d = a + phi * (b - a);
+        let mut fc = self.log_likelihood(c);
+        let mut fd = self.log_likelihood(d);
+        for _ in 0..GOLDEN_ITERS {
+            if fc > fd {
+                b = d;
+                d = c;
+                fd = fc;
+                c = b - phi * (b - a);
+                fc = self.log_likelihood(c);
+            } else {
+                a = c;
+                c = d;
+                fc = fd;
+                d = a + phi * (b - a);
+                fd = self.log_likelihood(d);
+            }
+        }
+        (a + b) / 2.0
+    }
 }
 
 /// Maximum-likelihood λ for one column via golden-section search.
 pub fn optimal_lambda(col: &[f64]) -> f64 {
-    // Constant columns: λ is irrelevant; use identity (λ = 1).
-    if stats::variance(col) <= 1e-300 {
-        return 1.0;
-    }
-    let phi = (5f64.sqrt() - 1.0) / 2.0;
-    let (mut a, mut b) = (LAMBDA_LO, LAMBDA_HI);
-    let mut c = b - phi * (b - a);
-    let mut d = a + phi * (b - a);
-    let mut fc = log_likelihood(col, c);
-    let mut fd = log_likelihood(col, d);
-    for _ in 0..GOLDEN_ITERS {
-        if fc > fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - phi * (b - a);
-            fc = log_likelihood(col, c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + phi * (b - a);
-            fd = log_likelihood(col, d);
-        }
-    }
-    (a + b) / 2.0
+    LogColumn::new(col).optimal_lambda()
 }
 
 /// Fitted Yeo-Johnson power transform: per-column λ and (optionally)
@@ -113,12 +165,14 @@ impl FittedPower {
         let mut stds = vec![1.0; d];
         for j in 0..d {
             let col: Vec<f64> = x.col(j).into_iter().filter(|v| v.is_finite()).collect();
-            let lambda = optimal_lambda(&col);
+            let mut lc = LogColumn::new(&col);
+            let lambda = lc.optimal_lambda();
             if standardize {
-                let transformed: Vec<f64> =
-                    col.iter().map(|&v| clamp_finite(yeo_johnson(v, lambda))).collect();
-                means[j] = stats::mean(&transformed);
-                let s = stats::std_dev(&transformed);
+                lc.transform(lambda);
+                let transformed = &mut lc.buf;
+                transformed.iter_mut().for_each(|v| *v = clamp_finite(*v));
+                means[j] = stats::mean(transformed);
+                let s = stats::std_dev(transformed);
                 stds[j] = if s > 0.0 { s } else { 1.0 };
             }
             lambdas.push(lambda);
@@ -135,13 +189,18 @@ impl FittedPower {
     pub fn transform(&self, x: &mut Matrix) {
         let cols = x.ncols();
         assert_eq!(cols, self.lambdas.len(), "column count mismatch");
-        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
-            let j = i % cols;
-            let mut t = clamp_finite(yeo_johnson(*v, self.lambdas[j]));
-            if self.standardize {
-                t = (t - self.means[j]) / self.stds[j];
+        if cols == 0 {
+            return;
+        }
+        let params = self.lambdas.iter().zip(self.means.iter().zip(&self.stds));
+        for row in x.as_mut_slice().chunks_exact_mut(cols) {
+            for (v, (&lambda, (&mean, &std))) in row.iter_mut().zip(params.clone()) {
+                let mut t = clamp_finite(yeo_johnson(*v, lambda));
+                if self.standardize {
+                    t = (t - mean) / std;
+                }
+                *v = t;
             }
-            *v = t;
         }
     }
 }

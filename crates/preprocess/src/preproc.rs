@@ -110,35 +110,57 @@ impl Preproc {
             Preproc::Binarizer { threshold } => FittedPreproc::Binarizer { threshold: *threshold },
             Preproc::Normalizer { norm } => FittedPreproc::Normalizer { norm: *norm },
             Preproc::MaxAbsScaler => {
-                let mut scale = Vec::with_capacity(d);
-                for j in 0..d {
-                    let col = finite_col(x, j);
-                    let m = norm_max(&col);
-                    scale.push(if m > 0.0 { m } else { 1.0 });
+                // Per-column folds over the finite cells, in row order.
+                let mut scale = vec![0.0_f64; d];
+                for_each_finite(x, |j, v| scale[j] = scale[j].max(v.abs()));
+                for m in &mut scale {
+                    *m = if *m > 0.0 { *m } else { 1.0 };
                 }
                 FittedPreproc::MaxAbs { scale }
             }
             Preproc::MinMaxScaler => {
-                let mut mins = Vec::with_capacity(d);
-                let mut ranges = Vec::with_capacity(d);
-                for j in 0..d {
-                    let col = finite_col(x, j);
-                    let mn = col.iter().copied().fold(f64::INFINITY, f64::min);
-                    let mx = col.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    let (mn, mx) = if mn.is_finite() { (mn, mx) } else { (0.0, 0.0) };
-                    let range = mx - mn;
-                    mins.push(mn);
-                    ranges.push(if range > 0.0 { range } else { 1.0 });
-                }
+                let mut mins = vec![f64::INFINITY; d];
+                let mut maxs = vec![f64::NEG_INFINITY; d];
+                for_each_finite(x, |j, v| {
+                    mins[j] = mins[j].min(v);
+                    maxs[j] = maxs[j].max(v);
+                });
+                let (mins, ranges) = mins
+                    .iter()
+                    .zip(&maxs)
+                    .map(|(&mn, &mx)| {
+                        let (mn, mx) = if mn.is_finite() { (mn, mx) } else { (0.0, 0.0) };
+                        let range = mx - mn;
+                        (mn, if range > 0.0 { range } else { 1.0 })
+                    })
+                    .unzip();
                 FittedPreproc::MinMax { mins, ranges }
             }
             Preproc::StandardScaler { with_mean } => {
+                // `stats::mean` and `stats::std_dev` of each finite
+                // column, as two row-order passes: the same additions in
+                // the same order, from the same start value.
+                let zero: f64 = std::iter::empty::<f64>().sum();
+                let mut sums = vec![zero; d];
+                let mut counts = vec![0usize; d];
+                for_each_finite(x, |j, v| {
+                    sums[j] += v;
+                    counts[j] += 1;
+                });
+                let col_means: Vec<f64> = sums
+                    .iter()
+                    .zip(&counts)
+                    .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
+                    .collect();
+                let mut sq = vec![zero; d];
+                for_each_finite(x, |j, v| {
+                    let m = col_means[j];
+                    sq[j] += (v - m) * (v - m);
+                });
                 let mut means = Vec::with_capacity(d);
                 let mut stds = Vec::with_capacity(d);
-                for j in 0..d {
-                    let col = finite_col(x, j);
-                    let m = autofp_linalg::stats::mean(&col);
-                    let s = autofp_linalg::stats::std_dev(&col);
+                for ((&m, &q), &c) in col_means.iter().zip(&sq).zip(&counts) {
+                    let s = if c == 0 { 0.0 } else { (q / c as f64).sqrt() };
                     means.push(if *with_mean { m } else { 0.0 });
                     stds.push(if s > 0.0 { s } else { 1.0 });
                 }
@@ -266,18 +288,29 @@ impl FittedPreproc {
     }
 }
 
-/// Column `j` with non-finite cells dropped (fit statistics must never
-/// be poisoned by NaN/Inf; transform-side sanitization is the models'
-/// job).
-fn finite_col(x: &Matrix, j: usize) -> Vec<f64> {
-    x.col(j).into_iter().filter(|v| v.is_finite()).collect()
+/// Call `f(j, v)` for every finite cell, row by row. Fit statistics
+/// must never be poisoned by NaN/Inf; transform-side sanitization is the
+/// models' job.
+fn for_each_finite(x: &Matrix, mut f: impl FnMut(usize, f64)) {
+    for row in x.rows_iter() {
+        for (j, &v) in row.iter().enumerate() {
+            if v.is_finite() {
+                f(j, v);
+            }
+        }
+    }
 }
 
 #[inline]
 fn apply_columnwise(x: &mut Matrix, f: impl Fn(usize, f64) -> f64) {
     let cols = x.ncols();
-    for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
-        *v = f(i % cols, *v);
+    if cols == 0 {
+        return;
+    }
+    for row in x.as_mut_slice().chunks_exact_mut(cols) {
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = f(j, *v);
+        }
     }
 }
 

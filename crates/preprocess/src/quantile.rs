@@ -49,13 +49,17 @@ impl FittedQuantile {
     pub fn transform(&self, x: &mut Matrix) {
         let cols = x.ncols();
         assert_eq!(cols, self.references.len(), "column count mismatch");
-        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
-            let refs = &self.references[i % cols];
-            let pos = quantile_position(refs, *v);
-            *v = match self.output {
-                OutputDist::Uniform => pos,
-                OutputDist::Normal => norm_ppf(pos),
-            };
+        if cols == 0 {
+            return;
+        }
+        for row in x.as_mut_slice().chunks_exact_mut(cols) {
+            for (v, refs) in row.iter_mut().zip(&self.references) {
+                let pos = quantile_position(refs, *v);
+                *v = match self.output {
+                    OutputDist::Uniform => pos,
+                    OutputDist::Normal => norm_ppf(pos),
+                };
+            }
         }
     }
 }
