@@ -18,7 +18,7 @@ use autofp::linalg::rng::{rng_from_seed, standard_normal};
 use autofp::linalg::Matrix;
 use autofp::models::artifact::TrainedModel;
 use autofp::models::classifier::ModelKind;
-use autofp::models::{CancelToken, Classifier, GbdtParams};
+use autofp::models::{CancelToken, Classifier, GbdtParams, LogisticParams, MlpParams};
 use autofp::preprocess::artifact::encode_pipeline;
 use autofp::preprocess::{Norm, OutputDist, Pipeline, Preproc};
 
@@ -98,6 +98,41 @@ fn model_fingerprints() -> Vec<(String, u64)> {
         let params = GbdtParams { subsample: 0.6, seed: 9, ..Default::default() };
         let m = TrainedModel::Xgb(params.train_cancellable(&d.x, &d.y, d.n_classes, 1.0, &cancel));
         out.push((format!("Xgb-subsample/{name}"), model_fp(&m, &d)));
+    }
+    out
+}
+
+/// Hyperparameters the kernels branch on and the defaults never reach:
+/// more than 64 bins per feature, an empty bin 0 that is still scored
+/// (`min_child_weight: 0`), walked and leaf-tracked rows mixed in one
+/// round (`subsample < 1`, deeper trees), a hidden width that is not a
+/// multiple of the MLP's unit block with a ragged last minibatch, and LR
+/// on the 7-class and dirty data with its own step size and L2.
+fn edge_model_fingerprints() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    let cancel = CancelToken::new();
+    for (name, d) in datasets() {
+        let (x, y, k) = (&d.x, &d.y, d.n_classes);
+        let many_bins = GbdtParams { n_bins: 100, seed: 3, ..Default::default() };
+        let m = TrainedModel::Xgb(many_bins.train_cancellable(x, y, k, 1.0, &cancel));
+        out.push((format!("Xgb-bins100/{name}"), model_fp(&m, &d)));
+        let no_floor = GbdtParams { min_child_weight: 0.0, seed: 3, ..Default::default() };
+        let m = TrainedModel::Xgb(no_floor.train_cancellable(x, y, k, 1.0, &cancel));
+        out.push((format!("Xgb-mcw0/{name}"), model_fp(&m, &d)));
+        for budget in [1.0, 0.3] {
+            let mlp = MlpParams { hidden: 13, batch_size: 7, seed: 3, ..Default::default() };
+            let m = TrainedModel::Mlp(mlp.train_cancellable(x, y, k, budget, &cancel));
+            out.push((format!("Mlp-h13-b7/{name}/b{budget}"), model_fp(&m, &d)));
+        }
+    }
+    let d = wine_like();
+    let deep = GbdtParams { subsample: 0.6, max_depth: 6, seed: 11, ..Default::default() };
+    let m = TrainedModel::Xgb(deep.train_cancellable(&d.x, &d.y, d.n_classes, 1.0, &cancel));
+    out.push(("Xgb-subsample-deep/7class".to_string(), model_fp(&m, &d)));
+    for (name, d) in [("7class", wine_like()), ("dirty", dirty())] {
+        let lr = LogisticParams { learning_rate: 0.05, l2: 1e-2, ..Default::default() };
+        let m = TrainedModel::Lr(lr.train_cancellable(&d.x, &d.y, d.n_classes, 0.3, &cancel));
+        out.push((format!("Lr-l2/{name}/b0.3"), model_fp(&m, &d)));
     }
     out
 }
@@ -207,6 +242,11 @@ fn model_kernels_are_bit_identical() {
 }
 
 #[test]
+fn model_kernel_edge_cases_are_bit_identical() {
+    check(edge_model_fingerprints(), EDGE_MODEL_GOLDEN);
+}
+
+#[test]
 fn prep_kernels_are_bit_identical() {
     check(prep_fingerprints(), PREP_GOLDEN);
 }
@@ -240,6 +280,28 @@ const MODEL_GOLDEN: &[(&str, u64)] = &[
     ("Xgb/dirty/b1", 0x0bb93050a3ddb399),
     ("Xgb/dirty/b0.3", 0xdecb286659865829),
     ("Xgb-subsample/dirty", 0x1f9e9cf57b2a4802),
+];
+
+const EDGE_MODEL_GOLDEN: &[(&str, u64)] = &[
+    ("Xgb-bins100/binary", 0x0e0b8a893fd4bf41),
+    ("Xgb-mcw0/binary", 0x9a9d8216df18405a),
+    ("Mlp-h13-b7/binary/b1", 0x8c74503c0d1e9628),
+    ("Mlp-h13-b7/binary/b0.3", 0x32c7baae07437612),
+    ("Xgb-bins100/4class", 0xec67f3611b44e22c),
+    ("Xgb-mcw0/4class", 0x0dff819624790151),
+    ("Mlp-h13-b7/4class/b1", 0x4678a55edbc398a2),
+    ("Mlp-h13-b7/4class/b0.3", 0x497d39addde3e6fc),
+    ("Xgb-bins100/7class", 0xdb4c2299a8a59be6),
+    ("Xgb-mcw0/7class", 0x07b6267a240ec01a),
+    ("Mlp-h13-b7/7class/b1", 0xd3fa291ddaa3d89a),
+    ("Mlp-h13-b7/7class/b0.3", 0xec94534093389278),
+    ("Xgb-bins100/dirty", 0x23c928f694e6236d),
+    ("Xgb-mcw0/dirty", 0x400569380c4a9240),
+    ("Mlp-h13-b7/dirty/b1", 0x7dc6fe9d56cd6221),
+    ("Mlp-h13-b7/dirty/b0.3", 0xbd1f92e1431f7b42),
+    ("Xgb-subsample-deep/7class", 0x20f65a34f391c6d5),
+    ("Lr-l2/7class/b0.3", 0xb31af5837b221342),
+    ("Lr-l2/dirty/b0.3", 0x3e4fc87adf409a02),
 ];
 
 const PREP_GOLDEN: &[(&str, u64)] = &[
