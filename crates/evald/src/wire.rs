@@ -24,7 +24,7 @@ use std::time::Duration;
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Hard cap on pipeline length in a decoded message; the search space
-/// never exceeds [`autofp_preprocess::DEFAULT_MAX_LEN`] by much, so
+/// never exceeds [`autofp_preprocess::pipeline::DEFAULT_MAX_LEN`] by much, so
 /// anything larger is a corrupt frame.
 pub const MAX_STEPS: u32 = 64;
 

@@ -9,14 +9,33 @@
 //! less sensitive to feature preprocessing than LR/MLP — reproducing the
 //! paper's observation that FP improves XGB in many fewer scenarios.
 //!
-//! **Kernel invariant.** Bin codes are stored column-major, each row's
-//! softmax is computed once per round, and one histogram buffer serves a
-//! whole tree, filled for all features in one pass over a node's rows.
-//! The per-element float operations and their order are a contract,
-//! pinned by `tests/kernels.rs` and every golden and bit-identity suite:
-//! an optimization may drop redundant work but never reorder a reduction.
-//! A change that does needs a recorded accuracy diff over a stored trial
-//! matrix (the store diff) first.
+//! **Kernel invariant.** The per-element float operations and their order
+//! are a contract, pinned by `tests/kernels.rs` and every golden and
+//! bit-identity suite: an optimization may drop work whose result is
+//! provably unchanged, or lay data out so independent operations run side
+//! by side, but never reorder a reduction. A change that does needs a
+//! recorded accuracy diff over a stored trial matrix (the store diff)
+//! first. The layout:
+//!
+//! - bin codes are column-major, each row's softmax is computed once per
+//!   round, and one histogram buffer, filled for all features in one pass
+//!   over a node's rows, serves every node of a training run;
+//! - a tree's rows live in one index buffer, and each node's range is
+//!   partitioned in place, stably, into its children's ranges;
+//! - the split scan visits only bin 0 and the occupied bins of each
+//!   feature (a bitmap of `cell_h != 0.0`; hessians are floored at
+//!   1e-6), scores them in a pass of their own, then takes the first
+//!   strict maximum. This is exact: an empty cell adds `(+0.0, +0.0)` to
+//!   running sums that start at `+0.0` and so are never `-0.0`, hence a
+//!   skipped bin repeats the previous candidate's sums and gain, and the
+//!   strict `>` can never choose it;
+//! - each sampled row's leaf weight is recorded when its leaf is created,
+//!   and the row's score takes it without walking the tree. This is exact
+//!   when the edges are sorted, so `code <= bin` ⇔ `v <= edges[bin]` for
+//!   finite `v`, and a non-finite `v` goes right both ways. That is
+//!   checked once per fit (quantile interpolation could in principle
+//!   round an edge out of order; then every row walks the tree). Rows
+//!   left out by `subsample < 1` still walk the tree.
 
 use crate::cancel::CancelToken;
 use crate::classifier::{Classifier, Trainer};
@@ -158,12 +177,17 @@ impl GbdtParams {
 
         let bins = Bins::fit(x, self.n_bins);
         let binned = bins.apply(x);
+        let layout = HistFeature::layout(&binned, &bins);
+        let leaves_exact = bins.sorted();
+        let mut bufs = GrowBufs::new(n, &layout);
 
         let mut f = Matrix::zeros(n, k); // raw scores
         let mut probs = Matrix::zeros(n, k); // softmax of `f`, per round
         let mut trees: Vec<Vec<RegTree>> = Vec::with_capacity(rounds);
         let mut grad = vec![0.0; n];
         let mut hess = vec![0.0; n];
+        // Rows of this round's sample; the others walk each new tree.
+        let mut in_sample = vec![true; n];
 
         for round in 0..rounds {
             // Cooperative cancellation between boosting rounds; a partial
@@ -177,6 +201,10 @@ impl GbdtParams {
                 let mut rng = rng_from_seed(derive_seed(self.seed, round as u64));
                 let mut idx = sample_indices(&mut rng, n, m);
                 idx.sort_unstable();
+                in_sample.fill(false);
+                for &i in &idx {
+                    in_sample[i] = true;
+                }
                 idx
             } else {
                 (0..n).collect()
@@ -201,19 +229,22 @@ impl GbdtParams {
                 let inputs = TreeInputs {
                     binned: &binned,
                     bins: &bins,
+                    layout: &layout,
                     grad: &grad,
                     hess: &hess,
                     params: self,
                 };
-                round_trees.push(inputs.build(&rows));
-            }
-            // Update scores with all class trees of this round.
-            for i in 0..n {
-                let xrow = x.row(i);
-                for (class, tree) in round_trees.iter().enumerate() {
-                    let v = f.get(i, class) + self.learning_rate * tree.predict_row(xrow);
+                let tree = inputs.build(&rows, &mut bufs);
+                // This round's gradients are already fixed by `probs`, so
+                // the class's scores can take its tree right away: sampled
+                // rows add the weight of the leaf they were grown into,
+                // the rest walk the tree.
+                for (i, (&sampled, &leaf)) in in_sample.iter().zip(&bufs.leaf).enumerate() {
+                    let w = if sampled && leaves_exact { leaf } else { tree.predict_row(x.row(i)) };
+                    let v = f.get(i, class) + self.learning_rate * w;
                     f.set(i, class, v);
                 }
+                round_trees.push(tree);
             }
             trees.push(round_trees);
         }
@@ -288,6 +319,12 @@ impl Bins {
         self.edges[j].partition_point(|&e| e < v)
     }
 
+    /// Whether every feature's edges are in order, so that for finite
+    /// `v`, `bin_of(j, v) <= b` exactly when `v <= edges[j][b]`.
+    fn sorted(&self) -> bool {
+        self.edges.iter().all(|e| e.windows(2).all(|w| w[0] <= w[1]))
+    }
+
     /// Number of bins for feature `j`.
     fn n_bins(&self, j: usize) -> usize {
         self.edges[j].len() + 1
@@ -307,36 +344,32 @@ impl Bins {
 }
 
 /// What one tree is grown from: column-major bin codes, the bin edges,
-/// per-row gradients and hessians, and the hyperparameters.
+/// the splittable features' histogram layout, per-row gradients and
+/// hessians, and the hyperparameters.
 struct TreeInputs<'a> {
     binned: &'a [Vec<u16>],
     bins: &'a Bins,
+    layout: &'a [HistFeature<'a>],
     grad: &'a [f64],
     hess: &'a [f64],
     params: &'a GbdtParams,
 }
 
 impl TreeInputs<'_> {
-    fn build(&self, rows: &[usize]) -> RegTree {
-        // Features that can split, each with its slice of one shared
-        // (G, H) histogram buffer that every node of the tree reuses.
-        let mut layout = Vec::new();
-        let mut len = 0;
-        for (j, codes) in self.binned.iter().enumerate() {
-            let nb = self.bins.n_bins(j);
-            if nb > 1 {
-                layout.push(HistFeature { j, codes, offset: len, nb });
-                len += nb;
-            }
-        }
-        let mut hist = vec![(0.0, 0.0); len];
+    /// Grow one tree over the (ascending) `rows`, recording each row's
+    /// leaf weight in `bufs.leaf`.
+    fn build(&self, rows: &[usize], bufs: &mut GrowBufs) -> RegTree {
+        // One index buffer per tree: each node owns a contiguous range of
+        // it, partitioned in place (stably) into its children's ranges.
+        let mut order = rows.to_vec();
         let mut nodes = Vec::new();
-        grow(self, &layout, rows, 0, &mut hist, &mut nodes);
+        grow(self, &mut order, 0, bufs, &mut nodes);
         RegTree { nodes }
     }
 }
 
-/// A splittable feature's bin codes and its histogram slice.
+/// A splittable feature's bin codes and its slice of the shared (G, H)
+/// histogram buffer.
 struct HistFeature<'a> {
     j: usize,
     codes: &'a [u16],
@@ -344,79 +377,200 @@ struct HistFeature<'a> {
     nb: usize,
 }
 
+impl<'a> HistFeature<'a> {
+    /// Every feature with more than one bin, packed back to back.
+    fn layout(binned: &'a [Vec<u16>], bins: &Bins) -> Vec<HistFeature<'a>> {
+        let mut layout = Vec::new();
+        let mut len = 0;
+        for (j, codes) in binned.iter().enumerate() {
+            let nb = bins.n_bins(j);
+            if nb > 1 {
+                layout.push(HistFeature { j, codes, offset: len, nb });
+                len += nb;
+            }
+        }
+        layout
+    }
+}
+
+/// Buffers one training run reuses for every tree and node.
+struct GrowBufs {
+    /// Right-child rows while a node's range is partitioned.
+    spill: Vec<usize>,
+    /// Leaf weight of each sampled row in the tree grown last.
+    leaf: Vec<f64>,
+    /// (G, H) per (feature, bin) of the node being split.
+    hist: Vec<(f64, f64)>,
+    /// Split candidates of that node, compacted over all features: the
+    /// histogram index, the running left (G, H), and the gain.
+    cand_bin: Vec<usize>,
+    cand_sum: Vec<(f64, f64)>,
+    cand_gain: Vec<f64>,
+    /// End of each layout feature's candidates.
+    feature_end: Vec<usize>,
+}
+
+impl GrowBufs {
+    fn new(n: usize, layout: &[HistFeature]) -> GrowBufs {
+        let hist_len = layout.last().map_or(0, |f| f.offset + f.nb);
+        GrowBufs {
+            spill: vec![0; n],
+            leaf: vec![0.0; n],
+            hist: vec![(0.0, 0.0); hist_len],
+            cand_bin: vec![0; hist_len],
+            cand_sum: vec![(0.0, 0.0); hist_len],
+            cand_gain: vec![0.0; hist_len],
+            feature_end: Vec::with_capacity(layout.len()),
+        }
+    }
+}
+
 fn grow(
     t: &TreeInputs,
-    layout: &[HistFeature],
-    rows: &[usize],
+    rows: &mut [usize],
     depth: usize,
-    hist: &mut [(f64, f64)],
+    bufs: &mut GrowBufs,
     nodes: &mut Vec<TreeNode>,
 ) -> usize {
     let params = t.params;
     let g: f64 = rows.iter().map(|&i| t.grad[i]).sum();
     let h: f64 = rows.iter().map(|&i| t.hess[i]).sum();
     let leaf_weight = -g / (h + params.reg_lambda);
-    if depth >= params.max_depth || rows.len() < 2 {
-        nodes.push(TreeNode::Leaf { weight: leaf_weight });
-        return nodes.len() - 1;
+    let split = if depth >= params.max_depth || rows.len() < 2 {
+        None
+    } else {
+        best_split(t, rows, g, h, bufs)
+    };
+    let Some((feature, bin)) = split else {
+        return leaf(rows, leaf_weight, &mut bufs.leaf, nodes);
+    };
+    let n_left = partition(rows, &mut bufs.spill, &t.binned[feature], bin);
+    if n_left == 0 || n_left == rows.len() {
+        return leaf(rows, leaf_weight, &mut bufs.leaf, nodes);
     }
+    let threshold = t.bins.edges[feature][bin];
+    let id = nodes.len();
+    nodes.push(TreeNode::Leaf { weight: 0.0 });
+    let (left_rows, right_rows) = rows.split_at_mut(n_left);
+    let left = grow(t, left_rows, depth + 1, bufs, nodes);
+    let right = grow(t, right_rows, depth + 1, bufs, nodes);
+    nodes[id] = TreeNode::Split { feature, threshold, left, right };
+    id
+}
 
+/// Push a leaf and record its weight for each of its rows.
+fn leaf(rows: &[usize], weight: f64, leaf_w: &mut [f64], nodes: &mut Vec<TreeNode>) -> usize {
+    for &i in rows {
+        leaf_w[i] = weight;
+    }
+    nodes.push(TreeNode::Leaf { weight });
+    nodes.len() - 1
+}
+
+/// Stable in-place partition of `rows` into those with `codes[i] <= bin`
+/// followed by the rest; returns the number of the former.
+fn partition(rows: &mut [usize], spill: &mut [usize], codes: &[u16], bin: usize) -> usize {
+    let (mut n_left, mut n_right) = (0, 0);
+    for r in 0..rows.len() {
+        let i = rows[r];
+        let goes_left = (codes[i] as usize <= bin) as usize;
+        rows[n_left] = i;
+        spill[n_right] = i;
+        n_left += goes_left;
+        n_right += 1 - goes_left;
+    }
+    rows[n_left..].copy_from_slice(&spill[..n_right]);
+    n_left
+}
+
+/// The node's best `(feature, bin)` split, if any gains more than 1e-12:
+/// the first strict maximum over features in layout order, bins ascending.
+fn best_split(
+    t: &TreeInputs,
+    rows: &[usize],
+    g: f64,
+    h: f64,
+    bufs: &mut GrowBufs,
+) -> Option<(usize, usize)> {
+    let params = t.params;
+    let GrowBufs { hist, cand_bin, cand_sum, cand_gain, feature_end, .. } = bufs;
+    let (hist, cand_bin, cand_sum) = (&mut hist[..], &mut cand_bin[..], &mut cand_sum[..]);
     // Histograms of (G, H) per (feature, bin), all features in one pass
     // over the rows: each cell still sums its rows in row order.
     hist.fill((0.0, 0.0));
     for &i in rows {
         let (gi, hi) = (t.grad[i], t.hess[i]);
-        for f in layout {
+        for f in t.layout {
             let cell = &mut hist[f.offset + f.codes[i] as usize];
             cell.0 += gi;
             cell.1 += hi;
         }
     }
-    let parent_score = g * g / (h + params.reg_lambda);
-    let mut best: Option<(f64, usize, usize)> = None; // (gain, feature, bin)
-    for f in layout {
-        let mut gl = 0.0;
-        let mut hl = 0.0;
-        for (b, &(cell_g, cell_h)) in hist[f.offset..f.offset + f.nb - 1].iter().enumerate() {
-            gl += cell_g;
-            hl += cell_h;
-            let gr = g - gl;
-            let hr = h - hl;
-            if hl < params.min_child_weight || hr < params.min_child_weight {
-                continue;
+    // Candidates: bin 0 of each feature and every later bin holding rows
+    // (hessians are floored at 1e-6, so that is `cell_h != 0.0`). An
+    // empty cell adds exactly (+0.0, +0.0) to the running sums, which
+    // start at +0.0 and so are never -0.0: a skipped bin would repeat the
+    // previous candidate's sums and gain, and the strict `>` below could
+    // never choose it.
+    let mut m = 0;
+    feature_end.clear();
+    for f in t.layout {
+        let (mut gl, mut hl) = (0.0, 0.0);
+        for (w, cells) in hist[f.offset..f.offset + f.nb - 1].chunks(64).enumerate() {
+            // Occupancy of 64 bins as bits, built without branches; bin 0
+            // is always a candidate.
+            let mut bits = (w == 0) as u64;
+            for (b, &(_, cell_h)) in cells.iter().enumerate() {
+                bits |= ((cell_h != 0.0) as u64) << b;
             }
-            let gain = 0.5
-                * (gl * gl / (hl + params.reg_lambda) + gr * gr / (hr + params.reg_lambda)
-                    - parent_score)
-                - params.min_split_gain;
-            if gain > 1e-12 && best.is_none_or(|(bg, _, _)| gain > bg) {
-                best = Some((gain, f.j, b));
+            while bits != 0 {
+                let bin = f.offset + w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (cell_g, cell_h) = hist[bin];
+                gl += cell_g;
+                hl += cell_h;
+                cand_bin[m] = bin;
+                cand_sum[m] = (gl, hl);
+                m += 1;
             }
         }
+        feature_end.push(m);
     }
+    let (lambda, min_child, min_gain) =
+        (params.reg_lambda, params.min_child_weight, params.min_split_gain);
+    let parent_score = g * g / (h + lambda);
+    let gains = &mut cand_gain[..m];
+    for (out, &(gl, hl)) in gains.iter_mut().zip(&cand_sum[..m]) {
+        let gr = g - gl;
+        let hr = h - hl;
+        let gain = 0.5 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
+            - min_gain;
+        *out = gain_or_neg_inf(gain, !(hl < min_child || hr < min_child));
+    }
+    // The first strict maximum above 1e-12: the first candidate whose gain
+    // equals the largest one. The maximum of non-NaN values is exact in
+    // any order, so four running maxima serve; a NaN gain never wins.
+    let mut lanes = [1e-12; 4];
+    let mut quads = gains.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &gain) in lanes.iter_mut().zip(quad) {
+            *lane = if gain > *lane { gain } else { *lane };
+        }
+    }
+    let top = lanes.iter().chain(quads.remainder()).fold(1e-12, |a, &b| if b > a { b } else { a });
+    let best = if top > 1e-12 { gains.iter().position(|&gain| gain == top) } else { None };
+    best.map(|c| {
+        let f = &t.layout[feature_end.partition_point(|&end| end <= c)];
+        (f.j, cand_bin[c] - f.offset)
+    })
+}
 
-    match best {
-        None => {
-            nodes.push(TreeNode::Leaf { weight: leaf_weight });
-            nodes.len() - 1
-        }
-        Some((_, feature, bin)) => {
-            let threshold = t.bins.edges[feature][bin];
-            let codes = &t.binned[feature];
-            let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-                rows.iter().partition(|&&i| (codes[i] as usize) <= bin);
-            if left_rows.is_empty() || right_rows.is_empty() {
-                nodes.push(TreeNode::Leaf { weight: leaf_weight });
-                return nodes.len() - 1;
-            }
-            let id = nodes.len();
-            nodes.push(TreeNode::Leaf { weight: 0.0 });
-            let left = grow(t, layout, &left_rows, depth + 1, hist, nodes);
-            let right = grow(t, layout, &right_rows, depth + 1, hist, nodes);
-            nodes[id] = TreeNode::Split { feature, threshold, left, right };
-            id
-        }
-    }
+/// `gain` if `keep`, else `-inf`; a bit mask rather than a branch, so
+/// the gain loop runs straight through.
+#[inline]
+fn gain_or_neg_inf(gain: f64, keep: bool) -> f64 {
+    let mask = 0u64.wrapping_sub(keep as u64);
+    f64::from_bits((gain.to_bits() & mask) | (f64::NEG_INFINITY.to_bits() & !mask))
 }
 
 #[cfg(test)]
@@ -526,6 +680,25 @@ mod tests {
         assert_eq!(bins.bin_of(0, 2.0), 2);
         assert_eq!(bins.bin_of(0, -5.0), 0);
         assert_eq!(bins.bin_of(0, 5.0), 2);
+    }
+
+    #[test]
+    fn partition_is_stable_and_in_place() {
+        let codes: Vec<u16> = vec![3, 0, 2, 1, 3, 0, 1, 2];
+        let mut rows: Vec<usize> = vec![0, 2, 3, 5, 6, 7];
+        let mut spill = vec![0; rows.len()];
+        let n_left = partition(&mut rows, &mut spill, &codes, 1);
+        assert_eq!(n_left, 3);
+        assert_eq!(rows, [3, 5, 6, 0, 2, 7]);
+    }
+
+    #[test]
+    fn bins_report_edge_order() {
+        let x = Matrix::column_vector(&[0.0, 1.0, 2.0, 3.0]);
+        let mut bins = Bins::fit(&x, 48);
+        assert!(bins.sorted());
+        bins.edges[0].swap(0, 1);
+        assert!(!bins.sorted());
     }
 
     #[test]

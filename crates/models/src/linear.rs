@@ -7,13 +7,22 @@
 //! features slow convergence and cost accuracy, which is precisely the
 //! effect feature preprocessing repairs.
 //!
-//! **Kernel invariant.** The training matrix is sanitized once, before
-//! the epoch loop, and each logit's `exp` serves both the loss and the
-//! softmax. The per-element float operations and their order are a
-//! contract, pinned by `tests/kernels.rs` and every golden and bit-identity
-//! suite: an optimization may drop redundant work but never reorder a
-//! reduction. A change that does needs a recorded accuracy diff over a
-//! stored trial matrix (the store diff) first.
+//! **Kernel invariant.** The per-element float operations and their order
+//! are a contract, pinned by `tests/kernels.rs` and every golden and
+//! bit-identity suite: an optimization may drop work whose result is
+//! provably unchanged, or lay data out so independent operations run side
+//! by side, but never reorder a reduction. A change that does needs a
+//! recorded accuracy diff over a stored trial matrix (the store diff)
+//! first. The layout:
+//!
+//! - the training matrix is sanitized once, before the epoch loop, and
+//!   kept twice: column-major for the logits and row-major with a bias
+//!   input of `1.0` for the gradient (`delta * 1.0 == delta` exactly);
+//! - an epoch computes all logits (`classes × rows`) in 8-row register
+//!   blocks, each starting at its bias and adding the inputs in order,
+//!   then the gradient in 8-input blocks, each cell adding the rows in
+//!   order and skipping zero deltas;
+//! - each logit's `exp` serves both the loss and the softmax.
 
 use crate::cancel::CancelToken;
 use crate::classifier::{Classifier, Trainer};
@@ -110,7 +119,22 @@ impl LogisticParams {
         let nf = n.max(1) as f64;
         let mut prev_loss = f64::INFINITY;
 
-        let xs = sanitized(x);
+        // The sanitized rows twice: column-major for the logits, and
+        // row-major with the bias input `1.0` appended for the gradient.
+        // Both are padded with zeros to whole blocks.
+        let n_pad = n.div_ceil(BLOCK) * BLOCK;
+        let d_pad = (d + 1).div_ceil(BLOCK) * BLOCK;
+        let mut xt = Matrix::zeros(d, n_pad);
+        let mut xb = Matrix::zeros(n, d_pad);
+        for i in 0..n {
+            for (j, &v) in x.row(i).iter().enumerate() {
+                xt.set(j, i, sanitize(v));
+                xb.set(i, j, sanitize(v));
+            }
+            xb.set(i, d, 1.0);
+        }
+        // Logits, then softmax deltas, `k x n_pad`.
+        let mut delta = Matrix::zeros(k, n_pad);
         let mut probs = vec![0.0; k];
         let mut grad = Matrix::zeros(k, d + 1);
         for epoch in 1..=epochs {
@@ -119,31 +143,19 @@ impl LogisticParams {
             if epoch > 1 && cancel.is_cancelled() {
                 break;
             }
-            grad.as_mut_slice().fill(0.0);
+            logits(&w, &xt, &mut delta);
             let mut loss = 0.0;
-            for (i, row) in xs.rows_iter().enumerate() {
+            for (i, &yi) in y.iter().enumerate() {
                 for (c, p) in probs.iter_mut().enumerate() {
-                    let wr = w.row(c);
-                    let mut z = wr[d];
-                    for (&wv, &val) in wr.iter().zip(row) {
-                        z += wv * val;
-                    }
-                    *p = z;
+                    *p = delta.get(c, i);
                 }
-                let target_logit = probs[y[i]];
+                let target_logit = probs[yi];
                 loss += softmax_logsumexp_inplace(&mut probs) - target_logit;
-                for c in 0..k {
-                    let delta = probs[c] - if c == y[i] { 1.0 } else { 0.0 };
-                    if delta == 0.0 {
-                        continue;
-                    }
-                    let g = grad.row_mut(c);
-                    for (gv, &val) in g.iter_mut().zip(row) {
-                        *gv += delta * val;
-                    }
-                    g[d] += delta;
+                for (c, &p) in probs.iter().enumerate() {
+                    delta.set(c, i, p - if c == yi { 1.0 } else { 0.0 });
                 }
             }
+            gradient(&delta, &xb, n, &mut grad);
             loss /= nf;
             // L2 on non-bias weights + Adam update.
             let t = epoch as f64;
@@ -196,6 +208,55 @@ impl Trainer for LogisticParams {
 
     fn name(&self) -> &'static str {
         "LR"
+    }
+}
+
+/// Rows per block of the logits, and inputs per block of the gradient.
+const BLOCK: usize = 8;
+
+/// `out[c][i]` = class `c`'s logit of row `i`: the bias, then `w * x`
+/// added over the inputs in order, for a block of rows side by side.
+fn logits(w: &Matrix, xt: &Matrix, out: &mut Matrix) {
+    let d = xt.nrows();
+    for c in 0..w.nrows() {
+        let wr = w.row(c);
+        for (rb, z) in out.row_mut(c).chunks_exact_mut(BLOCK).enumerate() {
+            let rows = rb * BLOCK..(rb + 1) * BLOCK;
+            let mut acc = [wr[d]; BLOCK];
+            for (j, &wv) in wr[..d].iter().enumerate() {
+                let xv = &xt.row(j)[rows.clone()];
+                for u in 0..BLOCK {
+                    acc[u] += wv * xv[u];
+                }
+            }
+            z.copy_from_slice(&acc);
+        }
+    }
+}
+
+/// `grad[c][j]` = the sum over the first `n` rows, in order, of
+/// `delta[c][i] * x[i][j]`, skipping zero deltas (the bias input is
+/// `1.0`), for a block of inputs side by side.
+fn gradient(delta: &Matrix, xb: &Matrix, n: usize, grad: &mut Matrix) {
+    let d = grad.ncols() - 1;
+    for c in 0..grad.nrows() {
+        let dr = &delta.row(c)[..n];
+        let gr = grad.row_mut(c);
+        for jb in 0..xb.ncols() / BLOCK {
+            let inputs = jb * BLOCK..(jb + 1) * BLOCK;
+            let mut acc = [0.0; BLOCK];
+            for (i, &dl) in dr.iter().enumerate() {
+                if dl == 0.0 {
+                    continue;
+                }
+                let xv = &xb.row(i)[inputs.clone()];
+                for u in 0..BLOCK {
+                    acc[u] += dl * xv[u];
+                }
+            }
+            let end = inputs.end.min(d + 1);
+            gr[inputs.start..end].copy_from_slice(&acc[..end - inputs.start]);
+        }
     }
 }
 

@@ -6,12 +6,28 @@
 //! heavily skewed inputs genuinely hurt it, reproducing the paper's
 //! largest FP gains (e.g. +36% on EEG, +69% on Pd with MLP).
 //!
-//! **Kernel invariant.** The training matrix is sanitized once, before
-//! the epoch loop. The per-element float operations and their order are a
-//! contract, pinned by `tests/kernels.rs` and every golden and bit-identity
-//! suite: an optimization may drop redundant work but never reorder a
-//! reduction. A change that does needs a recorded accuracy diff over a
-//! stored trial matrix (the store diff) first.
+//! **Kernel invariant.** The per-element float operations and their order
+//! are a contract, pinned by `tests/kernels.rs` and every golden and
+//! bit-identity suite: an optimization may drop work whose result is
+//! provably unchanged, or lay data out so independent operations run side
+//! by side, but never reorder a reduction. A change that does needs a
+//! recorded accuracy diff over a stored trial matrix (the store diff)
+//! first. The layout:
+//!
+//! - the training matrix is sanitized once, before the epoch loop;
+//! - the hidden weights (and their gradient and Adam state) are
+//!   input-major inside training, padded with zero units to whole blocks
+//!   of 8, and transposed back at the end, so the artifact layout is
+//!   unchanged;
+//! - a minibatch runs layer by layer: the hidden layer for the whole
+//!   batch in 8-unit register blocks, each unit starting at its bias and
+//!   adding the inputs in order; the output logits in 8-row blocks; the
+//!   gradients with each cell adding the batch rows in order.
+//!
+//! The hidden gradient no longer skips inactive units or zero deltas: it
+//! adds `0.0 * x = ±0.0` for them (`x` is sanitized, so finite). That is a
+//! no-op, because a gradient cell starts at `+0.0` and a sum is `-0.0`
+//! only if both terms are, so the cell is never `-0.0`.
 
 use crate::cancel::CancelToken;
 use crate::classifier::{Classifier, Trainer};
@@ -136,6 +152,12 @@ impl Adam {
     }
 }
 
+/// Hidden units per register block: the forward pass and the hidden
+/// gradient work on this many units side by side.
+const UNIT_BLOCK: usize = 8;
+/// Batch rows per register block of the output layer.
+const ROW_BLOCK: usize = 8;
+
 impl MlpParams {
     /// Train, returning the concrete model type (the [`Trainer`] impl
     /// boxes this; the artifact exporter serializes its weights).
@@ -164,16 +186,30 @@ impl MlpParams {
             *v = standard_normal(&mut rng) * (1.0 / (h as f64)).sqrt();
         }
 
-        let mut adam1 = Adam::new(h, d + 1);
+        // Inside training the hidden weights are input-major, `(d + 1) x
+        // hp` with the bias last, and padded with zero units to whole
+        // blocks. A padded unit's pre-activation is 0, so it is inactive,
+        // its gradient is 0 and Adam leaves its weights at 0.
+        let hp = h.div_ceil(UNIT_BLOCK) * UNIT_BLOCK;
+        let mut w1t = Matrix::zeros(d + 1, hp);
+        for (u, wr) in w1.rows_iter().enumerate() {
+            for (j, &w) in wr.iter().enumerate() {
+                w1t.set(j, u, w);
+            }
+        }
+        let mut adam1 = Adam::new(d + 1, hp);
         let mut adam2 = Adam::new(k, h + 1);
-        let mut g1 = Matrix::zeros(h, d + 1);
+        let mut g1t = Matrix::zeros(d + 1, hp);
         let mut g2 = Matrix::zeros(k, h + 1);
         let xs = sanitized(x);
         let mut order: Vec<usize> = (0..n).collect();
-        let mut hidden = vec![0.0; h];
-        let mut act = vec![false; h];
-        let mut probs = vec![0.0; k];
-        let mut dhidden = vec![0.0; h];
+        let batch_size = self.batch_size.max(1);
+        // Per batch: the rows, their hidden activations (rows padded to
+        // whole row blocks), their output deltas and hidden deltas.
+        let mut xb = Matrix::zeros(batch_size, d);
+        let mut act = Matrix::zeros(batch_size.div_ceil(ROW_BLOCK) * ROW_BLOCK, hp);
+        let mut delta = Matrix::zeros(batch_size, k);
+        let mut dhid = Matrix::zeros(batch_size, hp);
 
         for epoch in 0..epochs {
             // Cooperative cancellation between epochs (first epoch always
@@ -182,69 +218,168 @@ impl MlpParams {
                 break;
             }
             order.shuffle(&mut rng);
-            for batch in order.chunks(self.batch_size.max(1)) {
-                g1.as_mut_slice().fill(0.0);
-                g2.as_mut_slice().fill(0.0);
-                for &i in batch {
-                    let row = xs.row(i);
-                    // Forward.
-                    for (jh, (a, wr)) in hidden.iter_mut().zip(w1.rows_iter()).enumerate() {
-                        let mut z = wr[d];
-                        for (&w, &v) in wr.iter().zip(row) {
-                            z += w * v;
-                        }
-                        act[jh] = z > 0.0;
-                        *a = z.max(0.0);
-                    }
-                    for (c, p) in probs.iter_mut().enumerate() {
-                        let wr = w2.row(c);
-                        let mut z = wr[h];
-                        for (&w, &a) in wr.iter().zip(&hidden) {
-                            z += w * a;
-                        }
-                        *p = z;
-                    }
-                    softmax_inplace(&mut probs);
-                    // Backward.
-                    dhidden.fill(0.0);
-                    for c in 0..k {
-                        let delta = probs[c] - (y[i] == c) as u8 as f64;
-                        if delta == 0.0 {
-                            continue;
-                        }
-                        let gr = g2.row_mut(c);
-                        for (g, &a) in gr.iter_mut().zip(&hidden) {
-                            *g += delta * a;
-                        }
-                        gr[h] += delta;
-                        for (dh, &w) in dhidden.iter_mut().zip(w2.row(c)) {
-                            *dh += delta * w;
-                        }
-                    }
-                    for (jh, &dh) in dhidden.iter().enumerate() {
-                        if !act[jh] || dh == 0.0 {
-                            continue;
-                        }
-                        let gr = g1.row_mut(jh);
-                        for (g, &v) in gr.iter_mut().zip(row) {
-                            *g += dh * v;
-                        }
-                        gr[d] += dh;
+            for batch in order.chunks(batch_size) {
+                let b = batch.len();
+                for (r, &i) in batch.iter().enumerate() {
+                    xb.row_mut(r).copy_from_slice(xs.row(i));
+                }
+                hidden_forward(&xb, b, &w1t, &mut act);
+                output_forward(&act, b, h, &w2, &mut delta);
+                for (r, &i) in batch.iter().enumerate() {
+                    let dr = delta.row_mut(r);
+                    softmax_inplace(dr);
+                    for (c, v) in dr.iter_mut().enumerate() {
+                        *v -= (y[i] == c) as u8 as f64;
                     }
                 }
-                let scale = 1.0 / batch.len() as f64;
-                for (g, w) in [(&mut g1, &w1), (&mut g2, &w2)] {
+                output_backward(&act, &delta, b, h, &w2, &mut g2, &mut dhid);
+                hidden_grad(&xb, &dhid, b, &mut g1t);
+                let scale = 1.0 / b as f64;
+                for (g, w) in [(&mut g1t, &w1t), (&mut g2, &w2)] {
                     let gs = g.as_mut_slice();
                     let ws = w.as_slice();
                     for (gv, wv) in gs.iter_mut().zip(ws) {
                         *gv = *gv * scale + self.l2 * wv;
                     }
                 }
-                adam1.step(&mut w1, &g1, self.learning_rate);
+                adam1.step(&mut w1t, &g1t, self.learning_rate);
                 adam2.step(&mut w2, &g2, self.learning_rate);
             }
         }
+        for u in 0..h {
+            for (j, w) in w1.row_mut(u).iter_mut().enumerate() {
+                *w = w1t.get(j, u);
+            }
+        }
         MlpClassifier { w1, w2, n_classes: k }
+    }
+}
+
+/// Hidden activations of the first `b` rows of `xb`: each unit starts at
+/// its bias and adds `w * x` over the inputs in order, then ReLU.
+fn hidden_forward(xb: &Matrix, b: usize, w1t: &Matrix, act: &mut Matrix) {
+    let d = xb.ncols();
+    let bias = w1t.row(d);
+    for r in 0..b {
+        let row = xb.row(r);
+        let out = act.row_mut(r);
+        for (ub, out) in out.chunks_exact_mut(UNIT_BLOCK).enumerate() {
+            let units = ub * UNIT_BLOCK..(ub + 1) * UNIT_BLOCK;
+            let mut z = [0.0; UNIT_BLOCK];
+            z.copy_from_slice(&bias[units.clone()]);
+            for (j, &v) in row.iter().enumerate() {
+                let w = &w1t.row(j)[units.clone()];
+                for u in 0..UNIT_BLOCK {
+                    z[u] += w[u] * v;
+                }
+            }
+            for (a, z) in out.iter_mut().zip(z) {
+                *a = z.max(0.0); // ReLU
+            }
+        }
+    }
+}
+
+/// Output logits of the first `b` batch rows into `logits` (`b x k`):
+/// each starts at its class bias and adds `w * a` over the `h` units in
+/// order, for a block of rows side by side.
+fn output_forward(act: &Matrix, b: usize, h: usize, w2: &Matrix, logits: &mut Matrix) {
+    for (c, wr) in w2.rows_iter().enumerate() {
+        for r0 in (0..b).step_by(ROW_BLOCK) {
+            let mut z = [wr[h]; ROW_BLOCK];
+            for (jh, &w) in wr[..h].iter().enumerate() {
+                for (rr, z) in z.iter_mut().enumerate() {
+                    *z += w * act.get(r0 + rr, jh);
+                }
+            }
+            for (rr, &z) in z.iter().enumerate().take(b - r0) {
+                logits.set(r0 + rr, c, z);
+            }
+        }
+    }
+}
+
+/// Output-layer gradient into `g2` (each cell adds the batch rows in
+/// order, skipping zero deltas) and the hidden deltas into `dhid`, zeroed
+/// for inactive units.
+fn output_backward(
+    act: &Matrix,
+    delta: &Matrix,
+    b: usize,
+    h: usize,
+    w2: &Matrix,
+    g2: &mut Matrix,
+    dhid: &mut Matrix,
+) {
+    for c in 0..g2.nrows() {
+        let gr = g2.row_mut(c);
+        for ub in 0..act.ncols() / UNIT_BLOCK {
+            let units = ub * UNIT_BLOCK..(ub + 1) * UNIT_BLOCK;
+            let mut acc = [0.0; UNIT_BLOCK];
+            for r in 0..b {
+                let dl = delta.get(r, c);
+                if dl == 0.0 {
+                    continue;
+                }
+                let a = &act.row(r)[units.clone()];
+                for u in 0..UNIT_BLOCK {
+                    acc[u] += dl * a[u];
+                }
+            }
+            let end = units.end.min(h);
+            gr[units.start..end].copy_from_slice(&acc[..end - units.start]);
+        }
+        let mut bias = 0.0;
+        for r in 0..b {
+            let dl = delta.get(r, c);
+            if dl != 0.0 {
+                bias += dl;
+            }
+        }
+        gr[h] = bias;
+    }
+    for r in 0..b {
+        let dr = dhid.row_mut(r);
+        dr.fill(0.0);
+        for (c, wr) in w2.rows_iter().enumerate() {
+            let dl = delta.get(r, c);
+            if dl == 0.0 {
+                continue;
+            }
+            for (dh, &w) in dr.iter_mut().zip(&wr[..h]) {
+                *dh += dl * w;
+            }
+        }
+        for (dh, &a) in dr.iter_mut().zip(act.row(r)) {
+            *dh = if a > 0.0 { *dh } else { 0.0 };
+        }
+    }
+}
+
+/// Hidden-layer gradient into `g1t` (input-major, bias row last): each
+/// cell adds `dh * x` over the batch rows in order, for a block of units
+/// side by side.
+fn hidden_grad(xb: &Matrix, dhid: &Matrix, b: usize, g1t: &mut Matrix) {
+    let d = xb.ncols();
+    for j in 0..g1t.nrows() {
+        for (ub, out) in g1t.row_mut(j).chunks_exact_mut(UNIT_BLOCK).enumerate() {
+            let units = ub * UNIT_BLOCK..(ub + 1) * UNIT_BLOCK;
+            let mut acc = [0.0; UNIT_BLOCK];
+            for r in 0..b {
+                let dh = &dhid.row(r)[units.clone()];
+                if j < d {
+                    let v = xb.get(r, j);
+                    for u in 0..UNIT_BLOCK {
+                        acc[u] += dh[u] * v;
+                    }
+                } else {
+                    for u in 0..UNIT_BLOCK {
+                        acc[u] += dh[u];
+                    }
+                }
+            }
+            out.copy_from_slice(&acc);
+        }
     }
 }
 

@@ -17,7 +17,7 @@
 //! Soundness caveats (documented, deliberate): method calls resolve by
 //! name, so a `.helper()` can over-approximate onto every workspace
 //! `helper`; names colliding with std collection/iterator vocabulary
-//! ([`STD_METHODS`]) are dropped for non-`self` receivers instead —
+//! (`STD_METHODS`) are dropped for non-`self` receivers instead —
 //! trading that false-positive source for a documented false negative
 //! (`self.cache.insert(..)` produces no edge to `Cache::insert`);
 //! turbofish calls (`f::<T>(`) and calls through function
