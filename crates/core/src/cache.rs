@@ -53,7 +53,8 @@
 //!    the key — a cache is scoped to one evaluator's split.)
 //! 2. **Pure**: key construction reads nothing but its arguments — no
 //!    clock, RNG, or interior mutability (enforced by the xtask
-//!    `cache-purity` lint over `impl CacheKey` and `fn fnv1a`).
+//!    `cache-purity` lint over `impl CacheKey` and over `fn fnv1a` in
+//!    `autofp-codec`).
 //! 3. **Collision-safe**: maps key on the full canonical string; the
 //!    fingerprint is for sharding and logs only.
 //!
@@ -142,18 +143,10 @@ impl CacheKey {
     }
 }
 
-/// FNV-1a: tiny, dependency-free, and stable across platforms and
-/// compiler versions (unlike `DefaultHasher`, whose algorithm is
-/// unspecified). Public because the serve-artifact format checksums
-/// its records with the same hash the trial store uses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
+/// The fingerprint hash, re-exported so `autofp_core::fnv1a` keeps
+/// resolving; it lives in `autofp-codec` next to the record checksums
+/// that use it too.
+pub use autofp_codec::fnv1a;
 
 /// Hit / miss / eviction / saved-time counters of an [`EvalCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -15,6 +15,7 @@
 //! [`Trial`]: crate::history::Trial
 
 use crate::history::TrialHistory;
+use autofp_codec::DecodeError;
 
 /// Why a pipeline evaluation failed.
 ///
@@ -98,6 +99,13 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
+/// Undecodable bytes on the wire are a transport fault.
+impl From<DecodeError> for EvalError {
+    fn from(e: DecodeError) -> EvalError {
+        EvalError::Transport { detail: e.detail }
+    }
+}
+
 /// The discriminant of an [`EvalError`]: what *kind* of failure a
 /// trial suffered, without the diagnostic payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,8 +148,9 @@ impl FailureKind {
         }
     }
 
-    /// Stable position in [`FailureKind::ALL`] — the wire code the
-    /// serve protocol uses for quarantine reasons.
+    /// Stable position in [`FailureKind::ALL`] — the byte code every
+    /// format writes for a kind: failed trials on the evald wire and in
+    /// the trial store, quarantine reasons on the serve wire.
     pub fn index(self) -> usize {
         match self {
             FailureKind::NonFinite => 0,
@@ -151,6 +160,14 @@ impl FailureKind {
             FailureKind::Deadline => 4,
             FailureKind::Transport => 5,
         }
+    }
+
+    /// The kind a [`FailureKind::index`] byte names.
+    pub fn from_code(code: u8) -> Result<FailureKind, DecodeError> {
+        FailureKind::ALL
+            .get(code as usize)
+            .copied()
+            .ok_or_else(|| DecodeError::new(format!("bad failure code {code}")))
     }
 }
 

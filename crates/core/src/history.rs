@@ -2,6 +2,8 @@
 
 use crate::error::FailureKind;
 use crate::order::nan_smallest;
+use autofp_codec::{Dec, DecodeError, Enc};
+use autofp_preprocess::artifact::{dec_pipeline_spec, enc_pipeline_spec};
 use autofp_preprocess::Pipeline;
 use std::time::Duration;
 
@@ -51,6 +53,46 @@ impl Trial {
     pub fn is_failed(&self) -> bool {
         self.failure.is_some()
     }
+}
+
+/// Encode a trial: its pipeline spec, accuracy and error, Prep and
+/// Train nanoseconds, budget fraction, and failure kind as an optional
+/// [`FailureKind::index`] byte. The evald `Trial` response and the
+/// trial store's records both carry trials in this form.
+pub fn enc_trial(e: &mut Enc, t: &Trial) {
+    enc_pipeline_spec(e, &t.pipeline);
+    e.f64(t.accuracy);
+    e.f64(t.error);
+    e.u64(duration_nanos(t.prep_time));
+    e.u64(duration_nanos(t.train_time));
+    e.f64(t.train_fraction);
+    match t.failure {
+        Some(kind) => {
+            e.u8(1);
+            e.u8(kind.index() as u8);
+        }
+        None => e.u8(0),
+    }
+}
+
+/// Decode a trial written by [`enc_trial`].
+pub fn dec_trial(d: &mut Dec<'_>) -> Result<Trial, DecodeError> {
+    let pipeline = dec_pipeline_spec(d)?;
+    let accuracy = d.f64()?;
+    let error = d.f64()?;
+    let prep_time = Duration::from_nanos(d.u64()?);
+    let train_time = Duration::from_nanos(d.u64()?);
+    let train_fraction = d.f64()?;
+    let failure = match d.u8()? {
+        0 => None,
+        1 => Some(FailureKind::from_code(d.u8()?)?),
+        v => return Err(DecodeError::new(format!("bad failure flag {v}"))),
+    };
+    Ok(Trial { pipeline, accuracy, error, prep_time, train_time, train_fraction, failure })
+}
+
+fn duration_nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The evaluated-pipeline history of one search run.

@@ -17,8 +17,10 @@
 //! * [`service`] — [`service::WorkerService`], the transport-agnostic
 //!   request handler: one evaluator + cache per evaluation context,
 //!   built lazily from the dataset registry.
-//! * [`server`] — the TCP accept loop (`evald serve`), one thread per
-//!   connection, cooperative shutdown.
+//! * [`server`] — the TCP frame server, one thread per connection,
+//!   cooperative shutdown, generic over a [`server::FrameHandler`]:
+//!   `evald serve` runs it with [`service::WorkerService`], and
+//!   `autofp serve` with the serve crate's handler.
 //! * [`fleet`] — fleet membership ([`fleet::SharedFleetSpec`], the
 //!   epoch-stamped spec the supervisor publishes and every backend
 //!   routes over) and per-worker [`fleet::CircuitBreaker`]s.

@@ -1,32 +1,53 @@
-//! The worker daemon's TCP accept loop.
+//! The one TCP frame server both daemons run.
 //!
 //! One thread per connection, frames in / frames out, cooperative
-//! shutdown: a [`crate::wire::Request::Shutdown`] frame flips the stop
-//! flag and pokes the listener awake with a self-connection so the
-//! accept loop can observe it. Malformed frames are answered with a
-//! [`crate::wire::Response::Error`] and the connection is closed — a
-//! hostile or torn client never takes the worker down.
+//! shutdown. The server is generic over a [`FrameHandler`] that maps
+//! one request payload to a reply payload plus what the connection
+//! does next: [`crate::service::WorkerService`] plugs in for the
+//! `evald` worker, the serve crate's handler for `autofp serve`. The
+//! loop owns everything else: accepting, `set_nodelay`, writing the
+//! reply before a close (a malformed frame is answered with the
+//! protocol's error message and the connection is dropped — a hostile
+//! or torn client never takes the daemon down), and, on shutdown,
+//! flipping the stop flag and poking the listener awake with a
+//! self-connection so the accept loop can observe it.
 
-use crate::service::WorkerService;
-use crate::wire::{decode_request, encode_response, read_frame, write_frame, Request, Response};
+use crate::wire::{read_frame, write_frame};
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A bound, not-yet-running worker server.
-pub struct Server {
-    listener: TcpListener,
-    service: Arc<WorkerService>,
-    stop: Arc<AtomicBool>,
+/// What a connection does after its reply is written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Next {
+    /// Read the next frame.
+    Continue,
+    /// Drop the connection: after a corrupt frame the stream's framing
+    /// can no longer be trusted.
+    Close,
+    /// Drop the connection and stop the server.
+    Shutdown,
 }
 
-impl Server {
+/// A protocol plugged into [`Server`]: answers one request payload.
+pub trait FrameHandler: Send + Sync + 'static {
+    /// The reply payload for `payload`, and what the connection does
+    /// after writing it.
+    fn handle_frame(&self, payload: &[u8]) -> (Vec<u8>, Next);
+}
+
+/// A bound, not-yet-running frame server.
+pub struct Server<H> {
+    listener: TcpListener,
+    handler: Arc<H>,
+}
+
+impl<H: FrameHandler> Server<H> {
     /// Bind to `addr` (use port 0 to let the OS pick a free port).
-    pub fn bind(addr: impl ToSocketAddrs, service: Arc<WorkerService>) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(Server { listener, service, stop: Arc::new(AtomicBool::new(false)) })
+    pub fn bind(addr: impl ToSocketAddrs, handler: Arc<H>) -> io::Result<Server<H>> {
+        Ok(Server { listener: TcpListener::bind(addr)?, handler })
     }
 
     /// The address the server actually bound (resolves port 0).
@@ -34,20 +55,14 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// A handle that makes [`Server::run`] return after the connection
-    /// being served finishes (used by tests; the CLI path stops via a
-    /// `Shutdown` frame instead).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
     /// Serve until shut down. Each connection gets its own detached
-    /// thread; a `Shutdown` request stops the accept loop after
-    /// answering.
+    /// thread; a request the handler answers with [`Next::Shutdown`]
+    /// stops the accept loop after its reply is written.
     pub fn run(self) -> io::Result<()> {
         let local = self.listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
         for conn in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
+            if stop.load(Ordering::SeqCst) {
                 break;
             }
             let stream = match conn {
@@ -55,11 +70,10 @@ impl Server {
                 // A single torn accept is not fatal to the daemon.
                 Err(_) => continue,
             };
-            let service = Arc::clone(&self.service);
-            let stop = Arc::clone(&self.stop);
+            let handler = Arc::clone(&self.handler);
+            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let shutdown = serve_connection(stream, &service);
-                if shutdown {
+                if serve_connection(stream, &*handler) {
                     stop.store(true, Ordering::SeqCst);
                     // Poke the accept loop awake so it observes `stop`.
                     let _ = TcpStream::connect_timeout(&local, Duration::from_secs(1));
@@ -70,9 +84,9 @@ impl Server {
     }
 }
 
-/// Serve one connection to completion; returns whether a `Shutdown`
-/// request was received.
-fn serve_connection(mut stream: TcpStream, service: &WorkerService) -> bool {
+/// Serve one connection to completion; returns whether the handler
+/// asked for a shutdown.
+fn serve_connection(mut stream: TcpStream, handler: &impl FrameHandler) -> bool {
     let _ = stream.set_nodelay(true);
     loop {
         let payload = match read_frame(&mut stream) {
@@ -82,25 +96,12 @@ fn serve_connection(mut stream: TcpStream, service: &WorkerService) -> bool {
             // Torn frame: nothing sane to answer on this stream.
             Err(_) => return false,
         };
-        let response = match decode_request(&payload) {
-            Ok(req) => {
-                let resp = service.handle(&req);
-                if matches!(req, Request::Shutdown) {
-                    let _ = write_frame(&mut stream, &encode_response(&resp));
-                    return true;
-                }
-                resp
-            }
-            // Reflect the decode failure back, then drop the
-            // connection: after a corrupt frame the stream's framing
-            // can no longer be trusted.
-            Err(err) => {
-                let _ = write_frame(&mut stream, &encode_response(&Response::Error(err)));
-                return false;
-            }
-        };
-        if write_frame(&mut stream, &encode_response(&response)).is_err() {
-            return false;
+        let (reply, next) = handler.handle_frame(&payload);
+        let written = write_frame(&mut stream, &reply).is_ok();
+        match next {
+            Next::Continue if written => {}
+            Next::Continue | Next::Close => return false,
+            Next::Shutdown => return true,
         }
     }
 }
@@ -108,7 +109,8 @@ fn serve_connection(mut stream: TcpStream, service: &WorkerService) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::encode_request;
+    use crate::service::WorkerService;
+    use crate::wire::{encode_request, Request, Response};
 
     fn start_server() -> (std::net::SocketAddr, std::thread::JoinHandle<io::Result<()>>) {
         let server =

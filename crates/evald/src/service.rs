@@ -19,7 +19,10 @@
 //! it decoded frames from TCP, [`crate::client::LoopbackBackend`] feeds
 //! it the same frames in memory, and both get byte-identical responses.
 
-use crate::wire::{EvalContext, FleetSpec, Request, Response, WorkerStats};
+use crate::server::{FrameHandler, Next};
+use crate::wire::{
+    decode_request, encode_response, EvalContext, FleetSpec, Request, Response, WorkerStats,
+};
 use autofp_core::{
     EvalError, Evaluator, PrefixCache, SharedEvalCache, SharedPrefixCache, SharedTrialStore,
     StoreMeta, TrialRepo,
@@ -251,6 +254,24 @@ impl WorkerService {
 impl Default for WorkerService {
     fn default() -> Self {
         WorkerService::new()
+    }
+}
+
+/// The evald worker protocol on the frame server: a decodable request
+/// is answered by [`WorkerService::handle`]; an undecodable one by an
+/// error response and a close.
+impl FrameHandler for WorkerService {
+    fn handle_frame(&self, payload: &[u8]) -> (Vec<u8>, Next) {
+        match decode_request(payload) {
+            Ok(req) => {
+                let next = match req {
+                    Request::Shutdown => Next::Shutdown,
+                    _ => Next::Continue,
+                };
+                (encode_response(&self.handle(&req)), next)
+            }
+            Err(err) => (encode_response(&Response::Error(err)), Next::Close),
+        }
     }
 }
 

@@ -2,31 +2,36 @@
 //!
 //! Dependency-free, length-prefixed, canonical: every message is one
 //! frame of `[u32 LE payload length][payload]`, and every payload
-//! starts with a one-byte message tag. Integers are little-endian,
-//! floats travel as their IEEE-754 bit patterns (`f64::to_bits`), and
-//! strings are a `u32` byte length followed by UTF-8 — so an encoded
-//! message is a pure function of its value and round-trips
-//! bit-exactly, which the golden-bytes tests below pin.
+//! starts with a one-byte message tag. The payload follows the
+//! `autofp-codec` idiom — integers little-endian, floats as their
+//! IEEE-754 bit patterns, strings as a `u32` byte length followed by
+//! UTF-8 — so an encoded message is a pure function of its value and
+//! round-trips bit-exactly, which the golden-bytes tests below pin.
+//! Pipelines and trials travel in the forms their own crates define
+//! (`autofp_preprocess::artifact::enc_pipeline_spec`,
+//! `autofp_core::history::enc_trial`), the same bytes the trial store
+//! persists.
 //!
 //! Decoding is total: truncated, oversized, or corrupt input returns
 //! [`EvalError::Transport`] with a diagnostic detail — this module
 //! must never panic on untrusted bytes (enforced by the xtask
 //! panic-boundary lint, which covers this file).
 
-use autofp_core::{EvalConfig, EvalError, FailureKind, Trial};
+use autofp_codec::{Dec, DecodeError, Enc};
+use autofp_core::history::{dec_trial, enc_trial};
+use autofp_core::{EvalConfig, EvalError, Trial};
 use autofp_models::classifier::ModelKind;
-use autofp_preprocess::{Norm, OutputDist, Pipeline, Preproc, PreprocKind};
+use autofp_preprocess::artifact::{dec_pipeline_spec, enc_pipeline_spec};
+use autofp_preprocess::Pipeline;
 use std::io::{Read, Write};
-use std::time::Duration;
 
 /// Hard cap on one frame's payload size (16 MiB): a corrupt length
 /// prefix must not make a worker allocate unbounded memory.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Hard cap on pipeline length in a decoded message; the search space
-/// never exceeds [`autofp_preprocess::pipeline::DEFAULT_MAX_LEN`] by much, so
-/// anything larger is a corrupt frame.
-pub const MAX_STEPS: u32 = 64;
+/// Most bytes [`read_frame`] reserves before any payload byte arrives;
+/// a larger frame grows its buffer as its bytes come in.
+const FRAME_PREALLOC: usize = 64 * 1024;
 
 /// Hard cap on the number of worker addresses in a decoded
 /// [`FleetSpec`]; fleets are process-scale, so anything larger is a
@@ -171,8 +176,8 @@ pub enum Response {
         train_rows: u64,
     },
     /// Answer to [`Request::Eval`]: the finished trial (worst-error
-    /// trials included — their [`FailureKind`] rides on the trial) and
-    /// a stats snapshot taken after serving it.
+    /// trials included — their [`autofp_core::FailureKind`] rides on
+    /// the trial) and a stats snapshot taken after serving it.
     Trial {
         /// The evaluated (or worst-error) trial.
         trial: Trial,
@@ -222,7 +227,9 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), EvalError> 
 
 /// Read one frame. `Ok(None)` on a clean end-of-stream (no bytes at a
 /// frame boundary); [`EvalError::Transport`] on a torn or oversized
-/// frame.
+/// frame. The payload buffer grows with the bytes that arrive: a
+/// length prefix alone reserves at most 64 KiB, never the declared
+/// length.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, EvalError> {
     let mut len_buf = [0u8; 4];
     let mut got = 0usize;
@@ -245,109 +252,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, EvalError> {
     if len > MAX_FRAME {
         return Err(transport(format!("frame length {len} exceeds MAX_FRAME")));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| transport(format!("read frame payload: {e}")))?;
+    let mut payload = Vec::with_capacity((len as usize).min(FRAME_PREALLOC));
+    r.take(u64::from(len))
+        .read_to_end(&mut payload)
+        .map_err(|e| transport(format!("read frame payload: {e}")))?;
+    if payload.len() != len as usize {
+        return Err(transport(format!(
+            "connection closed inside a frame payload ({} of {len} bytes)",
+            payload.len()
+        )));
+    }
     Ok(Some(payload))
-}
-
-// ------------------------------------------------------------- encoding
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new(tag: u8) -> Enc {
-        Enc { buf: vec![tag] }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn string(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(v) => {
-                self.u8(1);
-                self.u64(v);
-            }
-            None => self.u8(0),
-        }
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], EvalError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| transport(format!("truncated frame reading {what}")))?;
-        // lint:allow(panic-reach): checked_add + `end <= buf.len()` above make the range provably in bounds
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-    fn u8(&mut self, what: &str) -> Result<u8, EvalError> {
-        Ok(self.take(1, what)?[0])
-    }
-    fn u32(&mut self, what: &str) -> Result<u32, EvalError> {
-        let b = self.take(4, what)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Ok(u32::from_le_bytes(a))
-    }
-    fn u64(&mut self, what: &str) -> Result<u64, EvalError> {
-        let b = self.take(8, what)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-    fn f64(&mut self, what: &str) -> Result<f64, EvalError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-    fn string(&mut self, what: &str) -> Result<String, EvalError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| transport(format!("invalid UTF-8 in {what}")))
-    }
-    fn opt_u64(&mut self, what: &str) -> Result<Option<u64>, EvalError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64(what)?)),
-            flag => Err(transport(format!("bad Option flag {flag} in {what}"))),
-        }
-    }
-    fn finish(self, what: &str) -> Result<(), EvalError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(transport(format!(
-                "{} trailing bytes after {what}",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
 }
 
 // --------------------------------------------------------- field codecs
@@ -355,156 +270,21 @@ impl<'a> Dec<'a> {
 fn enc_context(e: &mut Enc, ctx: &EvalContext) {
     e.string(&ctx.dataset);
     e.f64(ctx.scale);
-    e.u8(model_code(ctx.model));
+    e.u8(ctx.model.code());
     e.f64(ctx.train_fraction);
     e.u64(ctx.seed);
     e.opt_u64(ctx.train_subsample);
 }
 
-fn dec_context(d: &mut Dec) -> Result<EvalContext, EvalError> {
+fn dec_context(d: &mut Dec) -> Result<EvalContext, DecodeError> {
     Ok(EvalContext {
-        dataset: d.string("context dataset")?,
-        scale: d.f64("context scale")?,
-        model: dec_model(d.u8("context model")?)?,
-        train_fraction: d.f64("context train_fraction")?,
-        seed: d.u64("context seed")?,
-        train_subsample: d.opt_u64("context train_subsample")?,
+        dataset: d.string()?,
+        scale: d.f64()?,
+        model: ModelKind::from_code(d.u8()?)?,
+        train_fraction: d.f64()?,
+        seed: d.u64()?,
+        train_subsample: d.opt_u64()?,
     })
-}
-
-fn model_code(m: ModelKind) -> u8 {
-    // ALL is tiny and total over the enum, so the position exists.
-    ModelKind::ALL.iter().position(|&k| k == m).map_or(0, |i| i as u8)
-}
-
-fn dec_model(code: u8) -> Result<ModelKind, EvalError> {
-    ModelKind::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| transport(format!("bad model code {code}")))
-}
-
-fn enc_pipeline(e: &mut Enc, pipeline: &Pipeline) {
-    e.u32(pipeline.len() as u32);
-    for step in pipeline.steps() {
-        e.u8(step.kind().index() as u8);
-        match step {
-            Preproc::Binarizer { threshold } => e.f64(*threshold),
-            Preproc::MaxAbsScaler | Preproc::MinMaxScaler => {}
-            Preproc::Normalizer { norm } => e.u8(match norm {
-                Norm::L1 => 0,
-                Norm::L2 => 1,
-                Norm::Max => 2,
-            }),
-            Preproc::PowerTransformer { standardize } => e.u8(u8::from(*standardize)),
-            Preproc::QuantileTransformer { n_quantiles, output } => {
-                e.u64(*n_quantiles as u64);
-                e.u8(match output {
-                    OutputDist::Uniform => 0,
-                    OutputDist::Normal => 1,
-                });
-            }
-            Preproc::StandardScaler { with_mean } => e.u8(u8::from(*with_mean)),
-        }
-    }
-}
-
-fn dec_pipeline(d: &mut Dec) -> Result<Pipeline, EvalError> {
-    let n = d.u32("pipeline length")?;
-    if n > MAX_STEPS {
-        return Err(transport(format!("pipeline of {n} steps exceeds MAX_STEPS")));
-    }
-    let mut steps = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let code = d.u8("step kind")? as usize;
-        if code >= PreprocKind::ALL.len() {
-            return Err(transport(format!("bad preprocessor code {code}")));
-        }
-        let kind = PreprocKind::from_index(code);
-        let step = match kind {
-            PreprocKind::Binarizer => Preproc::Binarizer { threshold: d.f64("Binarizer threshold")? },
-            PreprocKind::MaxAbsScaler => Preproc::MaxAbsScaler,
-            PreprocKind::MinMaxScaler => Preproc::MinMaxScaler,
-            PreprocKind::Normalizer => Preproc::Normalizer {
-                norm: match d.u8("Normalizer norm")? {
-                    0 => Norm::L1,
-                    1 => Norm::L2,
-                    2 => Norm::Max,
-                    v => return Err(transport(format!("bad norm code {v}"))),
-                },
-            },
-            PreprocKind::PowerTransformer => {
-                Preproc::PowerTransformer { standardize: dec_bool(d, "PowerTransformer standardize")? }
-            }
-            PreprocKind::QuantileTransformer => Preproc::QuantileTransformer {
-                n_quantiles: d.u64("QuantileTransformer n_quantiles")? as usize,
-                output: match d.u8("QuantileTransformer output")? {
-                    0 => OutputDist::Uniform,
-                    1 => OutputDist::Normal,
-                    v => return Err(transport(format!("bad output-dist code {v}"))),
-                },
-            },
-            PreprocKind::StandardScaler => {
-                Preproc::StandardScaler { with_mean: dec_bool(d, "StandardScaler with_mean")? }
-            }
-        };
-        steps.push(step);
-    }
-    Ok(Pipeline::new(steps))
-}
-
-fn dec_bool(d: &mut Dec, what: &str) -> Result<bool, EvalError> {
-    match d.u8(what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        v => Err(transport(format!("bad bool {v} in {what}"))),
-    }
-}
-
-fn failure_code(kind: FailureKind) -> u8 {
-    FailureKind::ALL.iter().position(|&k| k == kind).map_or(0, |i| i as u8)
-}
-
-fn dec_failure(code: u8) -> Result<FailureKind, EvalError> {
-    FailureKind::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| transport(format!("bad failure code {code}")))
-}
-
-fn enc_trial(e: &mut Enc, t: &Trial) {
-    enc_pipeline(e, &t.pipeline);
-    e.f64(t.accuracy);
-    e.f64(t.error);
-    e.u64(duration_nanos(t.prep_time));
-    e.u64(duration_nanos(t.train_time));
-    e.f64(t.train_fraction);
-    match t.failure {
-        Some(kind) => {
-            e.u8(1);
-            e.u8(failure_code(kind));
-        }
-        None => e.u8(0),
-    }
-}
-
-fn dec_trial(d: &mut Dec) -> Result<Trial, EvalError> {
-    let pipeline = dec_pipeline(d)?;
-    let accuracy = d.f64("trial accuracy")?;
-    let error = d.f64("trial error")?;
-    let prep_time = Duration::from_nanos(d.u64("trial prep_time")?);
-    let train_time = Duration::from_nanos(d.u64("trial train_time")?);
-    let train_fraction = d.f64("trial train_fraction")?;
-    let failure = match d.u8("trial failure flag")? {
-        0 => None,
-        1 => Some(dec_failure(d.u8("trial failure kind")?)?),
-        v => return Err(transport(format!("bad failure flag {v}"))),
-    };
-    Ok(Trial { pipeline, accuracy, error, prep_time, train_time, train_fraction, failure })
-}
-
-fn duration_nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn enc_stats(e: &mut Enc, s: &WorkerStats) {
@@ -522,20 +302,20 @@ fn enc_stats(e: &mut Enc, s: &WorkerStats) {
     e.u64(s.preloaded);
 }
 
-fn dec_stats(d: &mut Dec) -> Result<WorkerStats, EvalError> {
+fn dec_stats(d: &mut Dec) -> Result<WorkerStats, DecodeError> {
     Ok(WorkerStats {
-        served: d.u64("stats served")?,
-        contexts: d.u64("stats contexts")?,
-        hits: d.u64("stats hits")?,
-        misses: d.u64("stats misses")?,
-        entries: d.u64("stats entries")?,
-        evictions: d.u64("stats evictions")?,
-        saved_nanos: d.u64("stats saved_nanos")?,
-        prefix_hits: d.u64("stats prefix_hits")?,
-        prefix_misses: d.u64("stats prefix_misses")?,
-        prefix_evictions: d.u64("stats prefix_evictions")?,
-        prefix_steps_saved: d.u64("stats prefix_steps_saved")?,
-        preloaded: d.u64("stats preloaded")?,
+        served: d.u64()?,
+        contexts: d.u64()?,
+        hits: d.u64()?,
+        misses: d.u64()?,
+        entries: d.u64()?,
+        evictions: d.u64()?,
+        saved_nanos: d.u64()?,
+        prefix_hits: d.u64()?,
+        prefix_misses: d.u64()?,
+        prefix_evictions: d.u64()?,
+        prefix_steps_saved: d.u64()?,
+        preloaded: d.u64()?,
     })
 }
 
@@ -547,15 +327,13 @@ fn enc_fleet_spec(e: &mut Enc, spec: &FleetSpec) {
     }
 }
 
-fn dec_fleet_spec(d: &mut Dec) -> Result<FleetSpec, EvalError> {
-    let epoch = d.u64("fleet epoch")?;
-    let n = d.u32("fleet size")?;
-    if n > MAX_FLEET {
-        return Err(transport(format!("fleet of {n} workers exceeds MAX_FLEET")));
-    }
-    let mut addrs = Vec::with_capacity(n as usize);
+fn dec_fleet_spec(d: &mut Dec) -> Result<FleetSpec, DecodeError> {
+    let epoch = d.u64()?;
+    // Every address is at least its 4-byte length prefix.
+    let n = d.capped_seq_len(MAX_FLEET as usize, "MAX_FLEET", 4)?;
+    let mut addrs = Vec::with_capacity(n);
     for _ in 0..n {
-        addrs.push(d.string("fleet addr")?);
+        addrs.push(d.string()?);
     }
     Ok(FleetSpec { epoch, addrs })
 }
@@ -586,15 +364,15 @@ fn enc_error(e: &mut Enc, err: &EvalError) {
     }
 }
 
-fn dec_error(d: &mut Dec) -> Result<EvalError, EvalError> {
-    Ok(match d.u8("error tag")? {
-        0 => EvalError::NonFiniteTransform { detail: d.string("error detail")? },
-        1 => EvalError::DegenerateMatrix { detail: d.string("error detail")? },
-        2 => EvalError::TrainerDiverged { detail: d.string("error detail")? },
-        3 => EvalError::Panic { message: d.string("error detail")? },
+fn dec_error(d: &mut Dec) -> Result<EvalError, DecodeError> {
+    Ok(match d.u8()? {
+        0 => EvalError::NonFiniteTransform { detail: d.string()? },
+        1 => EvalError::DegenerateMatrix { detail: d.string()? },
+        2 => EvalError::TrainerDiverged { detail: d.string()? },
+        3 => EvalError::Panic { message: d.string()? },
         4 => EvalError::DeadlineExceeded,
-        5 => EvalError::Transport { detail: d.string("error detail")? },
-        tag => return Err(transport(format!("bad error tag {tag}"))),
+        5 => EvalError::Transport { detail: d.string()? },
+        tag => return Err(DecodeError::new(format!("bad error tag {tag}"))),
     })
 }
 
@@ -619,26 +397,26 @@ const RESP_FLEET_ACK: u8 = 6;
 /// Canonical bytes of a [`Request`].
 pub fn encode_request(req: &Request) -> Vec<u8> {
     match req {
-        Request::Ping => Enc::new(REQ_PING).buf,
+        Request::Ping => Enc::tagged(REQ_PING).into_bytes(),
         Request::Describe(ctx) => {
-            let mut e = Enc::new(REQ_DESCRIBE);
+            let mut e = Enc::tagged(REQ_DESCRIBE);
             enc_context(&mut e, ctx);
-            e.buf
+            e.into_bytes()
         }
         Request::Eval { ctx, pipeline, fraction } => {
-            let mut e = Enc::new(REQ_EVAL);
+            let mut e = Enc::tagged(REQ_EVAL);
             enc_context(&mut e, ctx);
-            enc_pipeline(&mut e, pipeline);
+            enc_pipeline_spec(&mut e, pipeline);
             e.f64(*fraction);
-            e.buf
+            e.into_bytes()
         }
-        Request::Stats => Enc::new(REQ_STATS).buf,
-        Request::Shutdown => Enc::new(REQ_SHUTDOWN).buf,
-        Request::Health => Enc::new(REQ_HEALTH).buf,
+        Request::Stats => Enc::tagged(REQ_STATS).into_bytes(),
+        Request::Shutdown => Enc::tagged(REQ_SHUTDOWN).into_bytes(),
+        Request::Health => Enc::tagged(REQ_HEALTH).into_bytes(),
         Request::SetFleet(spec) => {
-            let mut e = Enc::new(REQ_SET_FLEET);
+            let mut e = Enc::tagged(REQ_SET_FLEET);
             enc_fleet_spec(&mut e, spec);
-            e.buf
+            e.into_bytes()
         }
     }
 }
@@ -646,13 +424,13 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Decode a [`Request`] payload (total: corrupt input is an `Err`).
 pub fn decode_request(payload: &[u8]) -> Result<Request, EvalError> {
     let mut d = Dec::new(payload);
-    let req = match d.u8("request tag")? {
+    let req = match d.u8()? {
         REQ_PING => Request::Ping,
         REQ_DESCRIBE => Request::Describe(dec_context(&mut d)?),
         REQ_EVAL => {
             let ctx = dec_context(&mut d)?;
-            let pipeline = dec_pipeline(&mut d)?;
-            let fraction = d.f64("eval fraction")?;
+            let pipeline = dec_pipeline_spec(&mut d)?;
+            let fraction = d.f64()?;
             Request::Eval { ctx, pipeline, fraction }
         }
         REQ_STATS => Request::Stats,
@@ -661,47 +439,47 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, EvalError> {
         REQ_SET_FLEET => Request::SetFleet(dec_fleet_spec(&mut d)?),
         tag => return Err(transport(format!("bad request tag {tag}"))),
     };
-    d.finish("request")?;
+    d.end()?;
     Ok(req)
 }
 
 /// Canonical bytes of a [`Response`].
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
-        Response::Pong => Enc::new(RESP_PONG).buf,
+        Response::Pong => Enc::tagged(RESP_PONG).into_bytes(),
         Response::Described { baseline_accuracy, train_rows } => {
-            let mut e = Enc::new(RESP_DESCRIBED);
+            let mut e = Enc::tagged(RESP_DESCRIBED);
             e.f64(*baseline_accuracy);
             e.u64(*train_rows);
-            e.buf
+            e.into_bytes()
         }
         Response::Trial { trial, stats } => {
-            let mut e = Enc::new(RESP_TRIAL);
+            let mut e = Enc::tagged(RESP_TRIAL);
             enc_trial(&mut e, trial);
             enc_stats(&mut e, stats);
-            e.buf
+            e.into_bytes()
         }
         Response::Stats(stats) => {
-            let mut e = Enc::new(RESP_STATS);
+            let mut e = Enc::tagged(RESP_STATS);
             enc_stats(&mut e, stats);
-            e.buf
+            e.into_bytes()
         }
         Response::Error(err) => {
-            let mut e = Enc::new(RESP_ERROR);
+            let mut e = Enc::tagged(RESP_ERROR);
             enc_error(&mut e, err);
-            e.buf
+            e.into_bytes()
         }
         Response::Health { epoch, served, contexts } => {
-            let mut e = Enc::new(RESP_HEALTH);
+            let mut e = Enc::tagged(RESP_HEALTH);
             e.u64(*epoch);
             e.u64(*served);
             e.u64(*contexts);
-            e.buf
+            e.into_bytes()
         }
         Response::FleetAck { epoch } => {
-            let mut e = Enc::new(RESP_FLEET_ACK);
+            let mut e = Enc::tagged(RESP_FLEET_ACK);
             e.u64(*epoch);
-            e.buf
+            e.into_bytes()
         }
     }
 }
@@ -709,12 +487,11 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// Decode a [`Response`] payload (total: corrupt input is an `Err`).
 pub fn decode_response(payload: &[u8]) -> Result<Response, EvalError> {
     let mut d = Dec::new(payload);
-    let resp = match d.u8("response tag")? {
+    let resp = match d.u8()? {
         RESP_PONG => Response::Pong,
-        RESP_DESCRIBED => Response::Described {
-            baseline_accuracy: d.f64("described baseline")?,
-            train_rows: d.u64("described train_rows")?,
-        },
+        RESP_DESCRIBED => {
+            Response::Described { baseline_accuracy: d.f64()?, train_rows: d.u64()? }
+        }
         RESP_TRIAL => {
             let trial = dec_trial(&mut d)?;
             let stats = dec_stats(&mut d)?;
@@ -722,21 +499,22 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, EvalError> {
         }
         RESP_STATS => Response::Stats(dec_stats(&mut d)?),
         RESP_ERROR => Response::Error(dec_error(&mut d)?),
-        RESP_HEALTH => Response::Health {
-            epoch: d.u64("health epoch")?,
-            served: d.u64("health served")?,
-            contexts: d.u64("health contexts")?,
-        },
-        RESP_FLEET_ACK => Response::FleetAck { epoch: d.u64("fleet ack epoch")? },
+        RESP_HEALTH => {
+            Response::Health { epoch: d.u64()?, served: d.u64()?, contexts: d.u64()? }
+        }
+        RESP_FLEET_ACK => Response::FleetAck { epoch: d.u64()? },
         tag => return Err(transport(format!("bad response tag {tag}"))),
     };
-    d.finish("response")?;
+    d.end()?;
     Ok(resp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autofp_core::FailureKind;
+    use autofp_preprocess::{Norm, OutputDist, Preproc, PreprocKind};
+    use std::time::Duration;
 
     fn ctx() -> EvalContext {
         EvalContext {

@@ -1,5 +1,6 @@
 //! The classifier/trainer abstraction shared by the whole benchmark.
 
+use autofp_codec::DecodeError;
 use autofp_linalg::Matrix;
 
 use crate::cancel::CancelToken;
@@ -94,6 +95,25 @@ impl ModelKind {
             ModelKind::Xgb => "XGB",
             ModelKind::Mlp => "MLP",
         }
+    }
+
+    /// Stable one-byte code, the position in [`ModelKind::ALL`]: every
+    /// byte format that names a family (evald contexts, serve artifact
+    /// meta, trained-model payloads) writes this code.
+    pub fn code(self) -> u8 {
+        match self {
+            ModelKind::Lr => 0,
+            ModelKind::Xgb => 1,
+            ModelKind::Mlp => 2,
+        }
+    }
+
+    /// The family a [`ModelKind::code`] byte names.
+    pub fn from_code(code: u8) -> Result<ModelKind, DecodeError> {
+        ModelKind::ALL
+            .get(code as usize)
+            .copied()
+            .ok_or_else(|| DecodeError::new(format!("invalid model code {code}")))
     }
 
     /// Construct the default trainer for this family.

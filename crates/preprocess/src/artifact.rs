@@ -1,15 +1,18 @@
-//! Byte codec for fitted preprocessing state.
+//! Byte codecs for preprocessing pipelines: fitted state and specs.
 //!
 //! Serializes a [`FittedPipeline`] — every learned parameter of every
 //! step (scaler mins/ranges/means/stds, quantile reference tables,
 //! Yeo-Johnson λs) — into a compact, canonical byte payload so a
 //! pipeline fitted once during search can be exported and served
 //! without refitting (and therefore without training-serving skew).
+//! The pipeline *spec* codec ([`enc_pipeline_spec`] /
+//! [`dec_pipeline_spec`]: kinds and parameters, nothing fitted) lives
+//! here too; the evald wire protocol and the trial store both carry
+//! pipelines in that form.
 //!
-//! The format follows the repo-wide wire idiom (`evald::wire`,
-//! `core::repo`): little-endian integers, `f64` as IEEE-754 bit
-//! patterns, `u32`-length-prefixed vectors, one leading tag byte per
-//! step (the [`PreprocKind::index`] code). Encoding is canonical —
+//! Both build on the `autofp-codec` primitives: one leading tag byte
+//! per step (the [`PreprocKind::index`] code), and the one
+//! [`Norm`]/[`OutputDist`] code table below. Encoding is canonical —
 //! re-encoding a decoded value reproduces the input bytes exactly —
 //! and decoding is **total**: arbitrary bytes produce `Ok` or
 //! [`DecodeError`], never a panic, unbounded allocation, or an
@@ -17,143 +20,18 @@
 //! invariants such as paired vector lengths are enforced here).
 
 use crate::kinds::PreprocKind;
-use crate::pipeline::FittedPipeline;
+use crate::pipeline::{FittedPipeline, Pipeline};
 use crate::power::FittedPower;
-use crate::preproc::{FittedPreproc, Norm, OutputDist};
+use crate::preproc::{FittedPreproc, Norm, OutputDist, Preproc};
 use crate::quantile::FittedQuantile;
-use std::fmt;
+use autofp_codec::{Dec, DecodeError, Enc};
 
-/// Upper bound on pipeline length accepted by the decoder (matches the
-/// wire-protocol cap; the search space never exceeds 7).
+/// Upper bound on pipeline length accepted by the decoders (the search
+/// space never exceeds 7).
 pub const MAX_STEPS: usize = 64;
 
-/// A fitted-state payload failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// Human-readable description of the first structural violation.
-    pub detail: String,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fitted-state decode error: {}", self.detail)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-fn corrupt(detail: impl Into<String>) -> DecodeError {
-    DecodeError { detail: detail.into() }
-}
-
 // ---------------------------------------------------------------------------
-// Encoder / decoder primitives (the crate-local copy of the wire idiom;
-// `preprocess` sits below `core`/`evald` in the dependency order, so the
-// helpers are replicated here exactly as `core::repo` replicates them).
-// ---------------------------------------------------------------------------
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    fn vec_f64(&mut self, v: &[f64]) {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.f64(x);
-        }
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| corrupt("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(corrupt("truncated payload"));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(f64::from_bits(u64::from_le_bytes(a)))
-    }
-
-    fn bool(&mut self) -> Result<bool, DecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(corrupt(format!("invalid bool byte {v}"))),
-        }
-    }
-
-    fn vec_f64(&mut self) -> Result<Vec<f64>, DecodeError> {
-        let n = self.u32()? as usize;
-        // Bounds-check the byte span *before* allocating, so a corrupt
-        // length can never trigger an oversized allocation.
-        let bytes = n.checked_mul(8).ok_or_else(|| corrupt("vector length overflow"))?;
-        let raw = self.take(bytes)?;
-        let mut out = Vec::with_capacity(n);
-        for chunk in raw.chunks_exact(8) {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(chunk);
-            out.push(f64::from_bits(u64::from_le_bytes(a)));
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos != self.buf.len() {
-            return Err(corrupt(format!("{} trailing bytes", self.buf.len() - self.pos)));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Step codec
+// Code tables
 // ---------------------------------------------------------------------------
 
 fn norm_code(n: Norm) -> u8 {
@@ -164,12 +42,12 @@ fn norm_code(n: Norm) -> u8 {
     }
 }
 
-fn norm_from_code(c: u8) -> Result<Norm, DecodeError> {
-    match c {
+fn dec_norm(d: &mut Dec<'_>) -> Result<Norm, DecodeError> {
+    match d.u8()? {
         0 => Ok(Norm::L1),
         1 => Ok(Norm::L2),
         2 => Ok(Norm::Max),
-        _ => Err(corrupt(format!("invalid norm code {c}"))),
+        c => Err(DecodeError::new(format!("invalid norm code {c}"))),
     }
 }
 
@@ -180,13 +58,71 @@ fn dist_code(d: OutputDist) -> u8 {
     }
 }
 
-fn dist_from_code(c: u8) -> Result<OutputDist, DecodeError> {
-    match c {
+fn dec_dist(d: &mut Dec<'_>) -> Result<OutputDist, DecodeError> {
+    match d.u8()? {
         0 => Ok(OutputDist::Uniform),
         1 => Ok(OutputDist::Normal),
-        _ => Err(corrupt(format!("invalid output-dist code {c}"))),
+        c => Err(DecodeError::new(format!("invalid output-dist code {c}"))),
     }
 }
+
+fn dec_kind(d: &mut Dec<'_>) -> Result<PreprocKind, DecodeError> {
+    let code = d.u8()? as usize;
+    if code >= PreprocKind::ALL.len() {
+        return Err(DecodeError::new(format!("unknown preprocessor code {code}")));
+    }
+    Ok(PreprocKind::from_index(code))
+}
+
+// ---------------------------------------------------------------------------
+// Spec codec
+// ---------------------------------------------------------------------------
+
+/// Encode a pipeline spec: `u32` step count, then per step its kind
+/// code and parameters.
+pub fn enc_pipeline_spec(e: &mut Enc, pipeline: &Pipeline) {
+    e.u32(pipeline.len() as u32);
+    for step in pipeline.steps() {
+        e.u8(step.kind().index() as u8);
+        match step {
+            Preproc::Binarizer { threshold } => e.f64(*threshold),
+            Preproc::MaxAbsScaler | Preproc::MinMaxScaler => {}
+            Preproc::Normalizer { norm } => e.u8(norm_code(*norm)),
+            Preproc::PowerTransformer { standardize } => e.bool(*standardize),
+            Preproc::QuantileTransformer { n_quantiles, output } => {
+                e.u64(*n_quantiles as u64);
+                e.u8(dist_code(*output));
+            }
+            Preproc::StandardScaler { with_mean } => e.bool(*with_mean),
+        }
+    }
+}
+
+/// Decode a pipeline spec written by [`enc_pipeline_spec`].
+pub fn dec_pipeline_spec(d: &mut Dec<'_>) -> Result<Pipeline, DecodeError> {
+    // Every step is at least its kind byte.
+    let n = d.capped_seq_len(MAX_STEPS, "MAX_STEPS", 1)?;
+    let mut steps = Vec::with_capacity(n);
+    for _ in 0..n {
+        steps.push(match dec_kind(d)? {
+            PreprocKind::Binarizer => Preproc::Binarizer { threshold: d.f64()? },
+            PreprocKind::MaxAbsScaler => Preproc::MaxAbsScaler,
+            PreprocKind::MinMaxScaler => Preproc::MinMaxScaler,
+            PreprocKind::Normalizer => Preproc::Normalizer { norm: dec_norm(d)? },
+            PreprocKind::PowerTransformer => Preproc::PowerTransformer { standardize: d.bool()? },
+            PreprocKind::QuantileTransformer => Preproc::QuantileTransformer {
+                n_quantiles: d.u64()? as usize,
+                output: dec_dist(d)?,
+            },
+            PreprocKind::StandardScaler => Preproc::StandardScaler { with_mean: d.bool()? },
+        });
+    }
+    Ok(Pipeline::new(steps))
+}
+
+// ---------------------------------------------------------------------------
+// Fitted-step codec
+// ---------------------------------------------------------------------------
 
 fn enc_step(e: &mut Enc, step: &FittedPreproc) {
     e.u8(step_kind(step).index() as u8);
@@ -232,56 +168,50 @@ pub fn step_kind(step: &FittedPreproc) -> PreprocKind {
 }
 
 fn dec_step(d: &mut Dec<'_>) -> Result<FittedPreproc, DecodeError> {
-    let tag = d.u8()?;
-    match tag {
-        0 => Ok(FittedPreproc::Binarizer { threshold: d.f64()? }),
-        1 => Ok(FittedPreproc::MaxAbs { scale: d.vec_f64()? }),
-        2 => {
+    match dec_kind(d)? {
+        PreprocKind::Binarizer => Ok(FittedPreproc::Binarizer { threshold: d.f64()? }),
+        PreprocKind::MaxAbsScaler => Ok(FittedPreproc::MaxAbs { scale: d.vec_f64()? }),
+        PreprocKind::MinMaxScaler => {
             let mins = d.vec_f64()?;
             let ranges = d.vec_f64()?;
             if mins.len() != ranges.len() {
-                return Err(corrupt("minmax mins/ranges length mismatch"));
+                return Err(DecodeError::new("minmax mins/ranges length mismatch"));
             }
             Ok(FittedPreproc::MinMax { mins, ranges })
         }
-        3 => Ok(FittedPreproc::Normalizer { norm: norm_from_code(d.u8()?)? }),
-        4 => {
+        PreprocKind::Normalizer => Ok(FittedPreproc::Normalizer { norm: dec_norm(d)? }),
+        PreprocKind::PowerTransformer => {
             let standardize = d.bool()?;
             let lambdas = d.vec_f64()?;
             let means = d.vec_f64()?;
             let stds = d.vec_f64()?;
             if means.len() != lambdas.len() || stds.len() != lambdas.len() {
-                return Err(corrupt("power lambda/mean/std length mismatch"));
+                return Err(DecodeError::new("power lambda/mean/std length mismatch"));
             }
             Ok(FittedPreproc::Power(FittedPower { lambdas, means, stds, standardize }))
         }
-        5 => {
-            let output = dist_from_code(d.u8()?)?;
-            let cols = d.u32()? as usize;
-            // Each column contributes at least a 4-byte length prefix;
-            // reject counts the remaining bytes cannot possibly hold.
-            if cols > d.buf.len().saturating_sub(d.pos) / 4 {
-                return Err(corrupt("quantile column count exceeds payload"));
-            }
+        PreprocKind::QuantileTransformer => {
+            let output = dec_dist(d)?;
+            // Each column is at least its 4-byte length prefix.
+            let cols = d.seq_len(4)?;
             let mut references = Vec::with_capacity(cols);
             for _ in 0..cols {
                 let refs = d.vec_f64()?;
                 if refs.len() < 2 {
-                    return Err(corrupt("quantile reference table shorter than 2"));
+                    return Err(DecodeError::new("quantile reference table shorter than 2"));
                 }
                 references.push(refs);
             }
             Ok(FittedPreproc::Quantile(FittedQuantile { references, output }))
         }
-        6 => {
+        PreprocKind::StandardScaler => {
             let means = d.vec_f64()?;
             let stds = d.vec_f64()?;
             if means.len() != stds.len() {
-                return Err(corrupt("standard means/stds length mismatch"));
+                return Err(DecodeError::new("standard means/stds length mismatch"));
             }
             Ok(FittedPreproc::Standard { means, stds })
         }
-        _ => Err(corrupt(format!("unknown fitted-step tag {tag}"))),
     }
 }
 
@@ -293,14 +223,14 @@ fn dec_step(d: &mut Dec<'_>) -> Result<FittedPreproc, DecodeError> {
 pub fn encode_step(step: &FittedPreproc) -> Vec<u8> {
     let mut e = Enc::new();
     enc_step(&mut e, step);
-    e.buf
+    e.into_bytes()
 }
 
 /// Decode one fitted step; rejects trailing bytes.
 pub fn decode_step(bytes: &[u8]) -> Result<FittedPreproc, DecodeError> {
     let mut d = Dec::new(bytes);
     let step = dec_step(&mut d)?;
-    d.finish()?;
+    d.end()?;
     Ok(step)
 }
 
@@ -311,21 +241,19 @@ pub fn encode_pipeline(p: &FittedPipeline) -> Vec<u8> {
     for step in p.steps() {
         enc_step(&mut e, step);
     }
-    e.buf
+    e.into_bytes()
 }
 
 /// Decode a fitted pipeline; total, canonical, rejects trailing bytes.
 pub fn decode_pipeline(bytes: &[u8]) -> Result<FittedPipeline, DecodeError> {
     let mut d = Dec::new(bytes);
-    let n = d.u32()? as usize;
-    if n > MAX_STEPS {
-        return Err(corrupt(format!("pipeline of {n} steps exceeds cap {MAX_STEPS}")));
-    }
+    // Every fitted step is at least its tag plus one parameter byte.
+    let n = d.capped_seq_len(MAX_STEPS, "MAX_STEPS", 2)?;
     let mut steps = Vec::with_capacity(n);
     for _ in 0..n {
         steps.push(dec_step(&mut d)?);
     }
-    d.finish()?;
+    d.end()?;
     Ok(FittedPipeline::from_steps(steps))
 }
 

@@ -13,9 +13,10 @@
 //!   path (arity mismatch → `degenerate`, NaN/±inf → `non-finite`) and
 //!   thread-count-invariant chunked parallelism.
 //! - [`wire`] / [`server`] / [`client`]: a `Predict`/`PredictAck`
-//!   protocol over the evald frame format, an accept loop with the
-//!   worker daemon's shutdown/robustness semantics, and a blocking
-//!   client for the CLI and tests.
+//!   protocol over the evald frame format, the handler that runs it on
+//!   the evald frame server (the worker daemon's accept loop, with its
+//!   shutdown/robustness semantics), and a blocking client for the CLI
+//!   and tests.
 
 #![warn(missing_docs)]
 
@@ -30,5 +31,5 @@ pub use artifact::{ArtifactError, ArtifactMeta, ServeArtifact};
 pub use client::ServeClient;
 pub use engine::{parse_feature_rows, BatchReport, EngineStats, RowOutcome, ServeEngine};
 pub use export::fit_artifact;
-pub use server::ServeServer;
+pub use server::ServeHandler;
 pub use wire::{ServeInfo, ServeRequest, ServeResponse};

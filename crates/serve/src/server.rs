@@ -1,144 +1,67 @@
-//! The inference daemon's TCP accept loop.
+//! The inference daemon's protocol handler.
 //!
-//! Mirrors the evald worker loop: one thread per connection, frames in
-//! / frames out, cooperative shutdown (a [`ServeRequest::Shutdown`]
-//! frame flips the stop flag and pokes the listener awake with a
-//! self-connection), and a malformed frame is answered with
-//! [`ServeResponse::Error`] before the connection is dropped — a
-//! hostile or torn client never takes the daemon down.
+//! [`ServeHandler`] plugs the serve protocol into the evald frame
+//! server ([`autofp_evald::Server`]), which owns the accept loop, the
+//! thread per connection and the cooperative shutdown. A malformed
+//! frame is answered with [`ServeResponse::Error`] and the connection
+//! is closed; a [`ServeRequest::Shutdown`] is acknowledged and stops
+//! the server.
 
 use crate::engine::ServeEngine;
-use crate::wire::{
-    decode_request, encode_response, read_frame, write_frame, ServeInfo, ServeRequest,
-    ServeResponse,
-};
-use std::io;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::wire::{decode_request, encode_response, ServeInfo, ServeRequest, ServeResponse};
+use autofp_evald::server::{FrameHandler, Next};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// A bound, not-yet-running inference server.
-pub struct ServeServer {
-    listener: TcpListener,
+/// Answers serve requests against one engine.
+pub struct ServeHandler {
     engine: Arc<ServeEngine>,
     threads: usize,
-    stop: Arc<AtomicBool>,
 }
 
-impl ServeServer {
-    /// Bind to `addr` (use port 0 to let the OS pick a free port).
-    /// `threads` is the per-batch prediction parallelism.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        engine: Arc<ServeEngine>,
-        threads: usize,
-    ) -> io::Result<ServeServer> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(ServeServer {
-            listener,
-            engine,
-            threads: threads.max(1),
-            stop: Arc::new(AtomicBool::new(false)),
-        })
+impl ServeHandler {
+    /// A handler over `engine`; `threads` is the per-batch prediction
+    /// parallelism.
+    pub fn new(engine: Arc<ServeEngine>, threads: usize) -> ServeHandler {
+        ServeHandler { engine, threads: threads.max(1) }
     }
 
-    /// The address the server actually bound (resolves port 0).
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// The engine behind this server (counters stay visible to the
-    /// caller while the server runs).
-    pub fn engine(&self) -> Arc<ServeEngine> {
-        Arc::clone(&self.engine)
-    }
-
-    /// Serve until shut down. Each connection gets its own detached
-    /// thread; a `Shutdown` request stops the accept loop after
-    /// answering.
-    pub fn run(self) -> io::Result<()> {
-        let local = self.listener.local_addr()?;
-        for conn in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
+    /// Answer one decoded request.
+    fn respond(&self, req: &ServeRequest) -> ServeResponse {
+        let engine = &self.engine;
+        match req {
+            ServeRequest::Ping => ServeResponse::Pong,
+            ServeRequest::Info => {
+                let meta = &engine.artifact().meta;
+                ServeResponse::Info(ServeInfo {
+                    dataset: meta.dataset.clone(),
+                    pipeline_key: meta.pipeline_key.clone(),
+                    model: meta.model.name().to_string(),
+                    n_features: meta.n_features,
+                    n_classes: meta.n_classes,
+                    accuracy: meta.accuracy,
+                })
             }
-            let stream = match conn {
-                Ok(s) => s,
-                // A single torn accept is not fatal to the daemon.
-                Err(_) => continue,
-            };
-            let engine = Arc::clone(&self.engine);
-            let stop = Arc::clone(&self.stop);
-            let threads = self.threads;
-            std::thread::spawn(move || {
-                let shutdown = serve_connection(stream, &engine, threads);
-                if shutdown {
-                    stop.store(true, Ordering::SeqCst);
-                    // Poke the accept loop awake so it observes `stop`.
-                    let _ = TcpStream::connect_timeout(&local, Duration::from_secs(1));
-                }
-            });
+            ServeRequest::Predict { rows } => {
+                let report = engine.predict_batch(rows, self.threads);
+                ServeResponse::PredictAck { outcomes: report.outcomes, stats: engine.stats() }
+            }
+            ServeRequest::Stats => ServeResponse::Stats(engine.stats()),
+            ServeRequest::Shutdown => ServeResponse::ShutdownAck,
         }
-        Ok(())
     }
 }
 
-/// Answer one decoded request against the engine.
-pub fn handle_request(engine: &ServeEngine, threads: usize, req: &ServeRequest) -> ServeResponse {
-    match req {
-        ServeRequest::Ping => ServeResponse::Pong,
-        ServeRequest::Info => {
-            let meta = &engine.artifact().meta;
-            ServeResponse::Info(ServeInfo {
-                dataset: meta.dataset.clone(),
-                pipeline_key: meta.pipeline_key.clone(),
-                model: meta.model.name().to_string(),
-                n_features: meta.n_features,
-                n_classes: meta.n_classes,
-                accuracy: meta.accuracy,
-            })
-        }
-        ServeRequest::Predict { rows } => {
-            let report = engine.predict_batch(rows, threads);
-            ServeResponse::PredictAck { outcomes: report.outcomes, stats: engine.stats() }
-        }
-        ServeRequest::Stats => ServeResponse::Stats(engine.stats()),
-        ServeRequest::Shutdown => ServeResponse::ShutdownAck,
-    }
-}
-
-/// Serve one connection to completion; returns whether a `Shutdown`
-/// request was received.
-fn serve_connection(mut stream: TcpStream, engine: &ServeEngine, threads: usize) -> bool {
-    let _ = stream.set_nodelay(true);
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            // Clean EOF: the client is done with this connection.
-            Ok(None) => return false,
-            // Torn frame: nothing sane to answer on this stream.
-            Err(_) => return false,
-        };
-        let response = match decode_request(&payload) {
+impl FrameHandler for ServeHandler {
+    fn handle_frame(&self, payload: &[u8]) -> (Vec<u8>, Next) {
+        match decode_request(payload) {
             Ok(req) => {
-                let resp = handle_request(engine, threads, &req);
-                if matches!(req, ServeRequest::Shutdown) {
-                    let _ = write_frame(&mut stream, &encode_response(&resp));
-                    return true;
-                }
-                resp
+                let next = match req {
+                    ServeRequest::Shutdown => Next::Shutdown,
+                    _ => Next::Continue,
+                };
+                (encode_response(&self.respond(&req)), next)
             }
-            // Reflect the decode failure back, then drop the
-            // connection: after a corrupt frame the stream's framing
-            // can no longer be trusted.
-            Err(err) => {
-                let _ = write_frame(&mut stream, &encode_response(&ServeResponse::Error(err)));
-                return false;
-            }
-        };
-        if write_frame(&mut stream, &encode_response(&response)).is_err() {
-            return false;
+            Err(err) => (encode_response(&ServeResponse::Error(err)), Next::Close),
         }
     }
 }

@@ -51,13 +51,13 @@ const PANIC_REACH_ENTRIES: [(&str, &str); 14] = [
     ("crates/core/src/repo.rs", "append"),
     // The serving path: its wire decoders face untrusted request
     // frames, the artifact decoder faces untrusted files, and
-    // `serve_connection` is the daemon's whole per-connection cone —
-    // a panic anywhere under it drops a client (or, via the accept
-    // loop, the daemon).
+    // `serve_connection` — the frame server both daemons run — is
+    // their whole per-connection cone: a panic anywhere under it
+    // drops a client (or, via the accept loop, the daemon).
     ("crates/serve/src/wire.rs", "decode_request"),
     ("crates/serve/src/wire.rs", "decode_response"),
     ("crates/serve/src/artifact.rs", "decode"),
-    ("crates/serve/src/server.rs", "serve_connection"),
+    ("crates/evald/src/server.rs", "serve_connection"),
 ];
 
 /// Files where slice/array indexing counts as a panic-reach sink. The
@@ -66,9 +66,12 @@ const PANIC_REACH_ENTRIES: [(&str, &str); 14] = [
 /// worker, the client pool, or the supervisor — and the trial store
 /// decodes arbitrary (possibly torn) on-disk bytes, where an index
 /// panic would turn a recoverable corrupt tail into a crash loop.
+/// The `autofp-codec` decoder under all of those formats (and under
+/// the `preprocess`/`models` artifact payloads) is covered too.
 /// Matrix-shaped indexing in `preprocess`/`models`/`linalg` stays
 /// idiomatic and out of scope.
-const INDEX_SINK_FILES: [&str; 12] = [
+const INDEX_SINK_FILES: [&str; 13] = [
+    "crates/codec/src/lib.rs",
     "crates/evald/src/wire.rs",
     "crates/evald/src/client.rs",
     "crates/evald/src/fleet.rs",
@@ -184,8 +187,9 @@ fn has_index_expr(line: &str) -> bool {
     false
 }
 
-/// Resolve entry ids for (file, name) pairs. Missing entries are fine:
-/// fixture runs hand `lint_sources` a subset of the workspace.
+/// Resolve entry ids for (file, name) pairs. Missing entries are fine
+/// here: fixture runs hand `lint_sources` a subset of the workspace
+/// (a full-workspace lint reports them through [`unresolved_entries`]).
 fn entry_ids(ix: &Index, entries: &[(&str, &str)]) -> Vec<usize> {
     ix.fns
         .iter()
@@ -196,6 +200,46 @@ fn entry_ids(ix: &Index, entries: &[(&str, &str)]) -> Vec<usize> {
         })
         .map(|(id, _)| id)
         .collect()
+}
+
+/// Report the graph-rule tables' entries (`PANIC_REACH_ENTRIES`,
+/// `NONDET_FLOW_FN_ROOTS`, `NONDET_FLOW_OWNER_ROOTS`,
+/// `INDEX_SINK_FILES`) that name no indexed fn, owner or file. Only
+/// meaningful when the index covers the whole workspace.
+pub(crate) fn unresolved_entries(
+    sources: &[(String, String)],
+    ix: &Index,
+    out: &mut Vec<Violation>,
+) {
+    const TABLE_FILE: &str = "crates/xtask/src/graphrules.rs";
+    let has_fn = |file: &str, pred: &dyn Fn(&crate::index::FnItem) -> bool| {
+        ix.fns.iter().any(|f| !f.is_test && ix.files[f.file].path == file && pred(f))
+    };
+    for (table, entries) in [
+        ("PANIC_REACH_ENTRIES", &PANIC_REACH_ENTRIES[..]),
+        ("NONDET_FLOW_FN_ROOTS", &NONDET_FLOW_FN_ROOTS[..]),
+    ] {
+        for (file, name) in entries {
+            if !has_fn(file, &|f| f.name == *name) {
+                out.push(crate::rules::unresolved(sources, TABLE_FILE, table, &[file, name]));
+            }
+        }
+    }
+    for (file, owner) in NONDET_FLOW_OWNER_ROOTS {
+        if !has_fn(file, &|f| f.owner.as_deref() == Some(owner)) {
+            out.push(crate::rules::unresolved(
+                sources,
+                TABLE_FILE,
+                "NONDET_FLOW_OWNER_ROOTS",
+                &[file, owner],
+            ));
+        }
+    }
+    for file in INDEX_SINK_FILES {
+        if !ix.files.iter().any(|f| f.path == file) {
+            out.push(crate::rules::unresolved(sources, TABLE_FILE, "INDEX_SINK_FILES", &[file]));
+        }
+    }
 }
 
 // ------------------------------------------------------------ panic-reach

@@ -55,6 +55,19 @@ pub struct LintReport {
 /// (repo-relative path, file text). This is the whole pipeline as a
 /// pure function, which is what the fixture suites drive directly.
 pub fn lint_sources(sources: &[(String, String)]) -> Vec<Violation> {
+    lint(sources, false)
+}
+
+/// [`lint_sources`] over a set that is the whole workspace: also
+/// reports (`unresolved-entry`) every rule-table entry that names a
+/// file, fn or span the set lacks. In a fixture's partial set that is
+/// expected; in the workspace it means a rule's coverage lapsed when
+/// the code it named moved.
+pub fn lint_workspace_sources(sources: &[(String, String)]) -> Vec<Violation> {
+    lint(sources, true)
+}
+
+fn lint(sources: &[(String, String)], whole_workspace: bool) -> Vec<Violation> {
     let scanned: Vec<(String, CleanSource)> =
         sources.iter().map(|(p, s)| (p.clone(), scanner::scan(s))).collect();
 
@@ -81,6 +94,12 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Violation> {
         let mine = by_path.remove(path).unwrap_or_default();
         rules::apply_allows(path, src, mine, &mut out);
     }
+    // Not subject to allow tags: the fix is always to retarget the
+    // entry.
+    if whole_workspace {
+        rules::unresolved_entries(sources, &scanned, &mut out);
+        graphrules::unresolved_entries(sources, &ix, &mut out);
+    }
     out.sort_by(|a, b| {
         a.path.cmp(&b.path).then_with(|| a.line.cmp(&b.line)).then_with(|| a.rule.cmp(b.rule))
     });
@@ -96,7 +115,7 @@ pub fn lint_workspace(root: &Path, baseline: &Baseline) -> std::io::Result<LintR
         let source = std::fs::read_to_string(root.join(rel))?;
         sources.push((walk::display_path(rel), source));
     }
-    let all = lint_sources(&sources);
+    let all = lint_workspace_sources(&sources);
     let (fresh, baselined) = baseline.partition(all);
     Ok(LintReport { fresh, baselined, files: files.len() })
 }

@@ -83,8 +83,10 @@ impl Violation {
 /// corrupted) segment file must be total. The whole `serve` crate is
 /// hot path too: its decoders face untrusted artifact files and
 /// untrusted request frames, and its engine/server answer live
-/// traffic where a panic drops the daemon.
-const HOT_PATH: [&str; 10] = [
+/// traffic where a panic drops the daemon. The `autofp-codec` decoder
+/// under every one of those formats is hot path for the same reason.
+const HOT_PATH: [&str; 11] = [
+    "crates/codec/src/lib.rs",
     "crates/core/src/batch.rs",
     "crates/core/src/evaluator.rs",
     "crates/core/src/cache.rs",
@@ -107,8 +109,10 @@ const HOT_PATH_PREFIXES: [&str; 3] =
 /// The serve codecs and engine join for the same reason: artifact
 /// bytes, wire bytes, and served predictions must be pure functions
 /// of their inputs (the train/serve skew and thread-invariance
-/// guarantees depend on it).
-const DET_CRITICAL: [&str; 15] = [
+/// guarantees depend on it); so must the codec every format and
+/// fingerprint is built on.
+const DET_CRITICAL: [&str; 16] = [
+    "crates/codec/src/lib.rs",
     "crates/core/src/history.rs",
     "crates/core/src/report.rs",
     "crates/core/src/cache.rs",
@@ -130,7 +134,7 @@ const DET_CRITICAL: [&str; 15] = [
 /// inside the brace block following the introducer.
 const CACHE_PURITY_SPANS: [(&str, &str); 4] = [
     ("crates/core/src/cache.rs", "impl CacheKey"),
-    ("crates/core/src/cache.rs", "fn fnv1a"),
+    ("crates/codec/src/lib.rs", "fn fnv1a"),
     ("crates/core/src/prefix.rs", "impl PrefixKey"),
     ("crates/preprocess/src/pipeline.rs", "fn key"),
 ];
@@ -425,6 +429,69 @@ fn collect_cache_purity(path: &str, src: &CleanSource, out: &mut Vec<Violation>)
                     ),
                 );
             }
+        }
+    }
+}
+
+/// A rule-table entry that names nothing in a full-workspace lint:
+/// the code it covered moved or was deleted, so its coverage lapsed
+/// without a sound. Attributed to the table's own line in
+/// `table_file` (found through the entry's quoted strings in the raw
+/// `sources`), so the report points at the entry to retarget.
+pub(crate) fn unresolved(
+    sources: &[(String, String)],
+    table_file: &str,
+    table: &str,
+    parts: &[&str],
+) -> Violation {
+    let quoted: Vec<String> = parts.iter().map(|p| format!("\"{p}\"")).collect();
+    let line = sources
+        .iter()
+        .find(|(path, _)| path == table_file)
+        .and_then(|(_, text)| {
+            text.lines().position(|l| quoted.iter().all(|q| l.contains(q.as_str())))
+        })
+        .map_or(1, |i| i + 1);
+    let entry = parts.join(" :: ");
+    Violation {
+        rule: "unresolved-entry",
+        path: table_file.to_string(),
+        line,
+        message: format!(
+            "{table} entry `{entry}` names no file or item in the workspace — the code it \
+             covered moved or was deleted; point the entry at its new home"
+        ),
+        excerpt: entry,
+        chain: Vec::new(),
+    }
+}
+
+/// Report the line-local rule tables' entries (`HOT_PATH` and its
+/// prefixes, `DET_CRITICAL`, `CACHE_PURITY_SPANS`) that name no file
+/// or span among `scanned`. Only meaningful when `scanned` is the
+/// whole workspace.
+pub(crate) fn unresolved_entries(
+    sources: &[(String, String)],
+    scanned: &[(String, CleanSource)],
+    out: &mut Vec<Violation>,
+) {
+    const TABLE_FILE: &str = "crates/xtask/src/rules.rs";
+    let has_file = |want: &str| scanned.iter().any(|(path, _)| path == want);
+    for (table, files) in [("HOT_PATH", &HOT_PATH[..]), ("DET_CRITICAL", &DET_CRITICAL[..])] {
+        for file in files.iter().filter(|f| !has_file(f)) {
+            out.push(unresolved(sources, TABLE_FILE, table, &[file]));
+        }
+    }
+    for prefix in HOT_PATH_PREFIXES {
+        if !scanned.iter().any(|(path, _)| path.starts_with(prefix)) {
+            out.push(unresolved(sources, TABLE_FILE, "HOT_PATH_PREFIXES", &[prefix]));
+        }
+    }
+    for (file, needle) in CACHE_PURITY_SPANS {
+        let found =
+            scanned.iter().any(|(path, src)| path == file && !named_spans(src, needle).is_empty());
+        if !found {
+            out.push(unresolved(sources, TABLE_FILE, "CACHE_PURITY_SPANS", &[file, needle]));
         }
     }
 }

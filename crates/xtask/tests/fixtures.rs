@@ -216,9 +216,9 @@ pub struct Store {
 }
 ";
     assert!(lint_file("crates/core/src/cache.rs", src).is_empty());
-    // fnv1a is covered wherever it appears in cache.rs.
+    // fnv1a is covered wherever it appears in the codec crate.
     let fnv = "fn fnv1a(bytes: &[u8]) -> u64 {\n    let h = std::time::SystemTime::now();\n    0\n}\n";
-    let vs = lint_file("crates/core/src/cache.rs", fnv);
+    let vs = lint_file("crates/codec/src/lib.rs", fnv);
     assert!(rules_fired(&vs).contains(&"cache-purity"));
 }
 
@@ -300,6 +300,48 @@ fn workspace_is_lint_clean_without_baseline() {
         "workspace has lint violations:\n{}",
         rendered.join("\n")
     );
+}
+
+/// A full-workspace lint reports every rule-table entry that names a
+/// file, fn or span the workspace lacks, so a moved function cannot
+/// silently drop its coverage; a fixture lint of a partial set stays
+/// quiet about the same gaps.
+#[test]
+fn workspace_lint_reports_rule_entries_that_resolve_to_nothing() {
+    let sources = vec![
+        (
+            "crates/evald/src/server.rs".to_string(),
+            "fn serve_connection() {}\n".to_string(),
+        ),
+        (
+            "crates/codec/src/lib.rs".to_string(),
+            "pub fn fnv1a(bytes: &[u8]) -> u64 {\n    0\n}\n".to_string(),
+        ),
+    ];
+    let vs = xtask::lint_workspace_sources(&sources);
+    let unresolved: Vec<&str> = vs
+        .iter()
+        .filter(|v| v.rule == "unresolved-entry")
+        .map(|v| v.excerpt.as_str())
+        .collect();
+    for missing in [
+        "crates/core/src/repo.rs :: append",
+        "crates/preprocess/src/pipeline.rs :: key",
+        "crates/core/src/cache.rs :: impl CacheKey",
+        "crates/core/src/prefix.rs :: PrefixKey",
+        "crates/serve/src/wire.rs",
+        "crates/core/src/history.rs",
+        "crates/models/src/",
+    ] {
+        assert!(unresolved.contains(&missing), "`{missing}` not reported: {unresolved:?}");
+    }
+    for present in ["evald/src/server.rs", "codec/src/lib.rs"] {
+        assert!(
+            !unresolved.iter().any(|e| e.contains(present)),
+            "entries naming `{present}` resolve: {unresolved:?}"
+        );
+    }
+    assert!(xtask::lint_sources(&sources).iter().all(|v| v.rule != "unresolved-entry"));
 }
 
 // ------------------------------------------------- scanner regressions

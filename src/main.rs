@@ -21,13 +21,14 @@ use autofp::automl::MetaStore;
 use autofp::core::{run_search, Budget, EvalConfig, Evaluator};
 use autofp::data::csv::read_csv_file;
 use autofp::data::Dataset;
+use autofp::evald::Server;
 use autofp::metafeatures::{extract, ExtractConfig};
 use autofp::models::classifier::ModelKind;
 use autofp::preprocess::{ParamSpace, Pipeline, PreprocKind};
 use autofp::search::{make_searcher, AlgName};
 use autofp::serve::{
     fit_artifact, parse_feature_rows, RowOutcome, ServeArtifact, ServeClient, ServeEngine,
-    ServeServer,
+    ServeHandler,
 };
 use std::io::Write;
 use std::process::exit;
@@ -431,8 +432,8 @@ fn cmd_serve(args: &[String]) {
         "serving {}: pipeline `{}`, model {}, {} features, {} classes",
         m.dataset, m.pipeline_key, m.model, m.n_features, m.n_classes
     );
-    let engine = Arc::new(ServeEngine::new(artifact));
-    let server = match ServeServer::bind((bind, port), engine, threads) {
+    let handler = ServeHandler::new(Arc::new(ServeEngine::new(artifact)), threads);
+    let server = match Server::bind((bind, port), Arc::new(handler)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: bind {bind}:{port}: {e}");

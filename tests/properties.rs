@@ -1,19 +1,23 @@
 //! Randomized property tests on the core invariants: preprocessor
-//! output ranges, pipeline totality, mutation bounds, metric ranges and
-//! rank consistency — over seeded random (finite) data.
+//! output ranges, pipeline totality, mutation bounds, metric ranges,
+//! rank consistency, and the byte codecs' canonical round trips and
+//! totality — over seeded random data.
 //!
 //! The original suite used `proptest`; the offline build environment
 //! cannot fetch it, so each property is exercised over a fixed number of
 //! deterministically seeded random cases instead. Shrinking is lost,
 //! but every case is reproducible from its printed seed.
 
+use autofp::core::{FailureKind, Trial};
 use autofp::linalg::rng::rng_from_seed;
 use autofp::linalg::stats::average_ranks;
 use autofp::linalg::Matrix;
+use autofp::models::classifier::ModelKind;
 use autofp::models::metrics::{accuracy, auc_binary};
-use autofp::preprocess::{ParamSpace, Pipeline, Preproc, PreprocKind};
+use autofp::preprocess::{Norm, OutputDist, ParamSpace, Pipeline, Preproc, PreprocKind};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::time::Duration;
 
 const CASES: u64 = 64;
 
@@ -218,4 +222,123 @@ fn pipeline_encoding_width_is_stable() {
         assert_eq!(e.len(), autofp::preprocess::encoding::encoding_width(max_len));
         assert!(e.iter().all(|v| v.is_finite()));
     });
+}
+
+/// Any bit pattern, NaNs and infinities included: the codecs carry
+/// floats as raw bits, so every pattern must round-trip.
+fn any_f64(rng: &mut StdRng) -> f64 {
+    f64::from_bits(rng.gen::<u64>())
+}
+
+/// A pipeline of up to 7 steps drawing every `Preproc` variant with
+/// random parameters.
+fn random_pipeline(rng: &mut StdRng) -> Pipeline {
+    let norms = [Norm::L1, Norm::L2, Norm::Max];
+    let steps = (0..rng.gen_range(0..8usize))
+        .map(|_| match rng.gen_range(0..7usize) {
+            0 => Preproc::Binarizer { threshold: any_f64(rng) },
+            1 => Preproc::MaxAbsScaler,
+            2 => Preproc::MinMaxScaler,
+            3 => Preproc::Normalizer { norm: norms[rng.gen_range(0..3usize)] },
+            4 => Preproc::PowerTransformer { standardize: rng.gen() },
+            5 => Preproc::QuantileTransformer {
+                n_quantiles: rng.gen::<u32>() as usize,
+                output: if rng.gen() { OutputDist::Uniform } else { OutputDist::Normal },
+            },
+            _ => Preproc::StandardScaler { with_mean: rng.gen() },
+        })
+        .collect();
+    Pipeline::new(steps)
+}
+
+/// A trial over a random pipeline, failed with any `FailureKind` or
+/// successful.
+fn random_trial(rng: &mut StdRng) -> Trial {
+    let failure = match rng.gen_range(0..=FailureKind::ALL.len()) {
+        i if i < FailureKind::ALL.len() => Some(FailureKind::ALL[i]),
+        _ => None,
+    };
+    Trial {
+        pipeline: random_pipeline(rng),
+        accuracy: any_f64(rng),
+        error: any_f64(rng),
+        prep_time: Duration::from_nanos(rng.gen()),
+        train_time: Duration::from_nanos(rng.gen()),
+        train_fraction: any_f64(rng),
+        failure,
+    }
+}
+
+#[test]
+fn evald_messages_round_trip_random_pipelines_and_trials_bit_exactly() {
+    use autofp::evald::wire::{decode_request, decode_response, encode_request, encode_response};
+    use autofp::evald::{EvalContext, Request, Response, WorkerStats};
+    let mut failures_seen = [false; 7];
+    for_cases(0xAE, |rng| {
+        let ctx = EvalContext {
+            dataset: format!("ds-{}", rng.gen::<u32>()),
+            scale: any_f64(rng),
+            model: ModelKind::ALL[rng.gen_range(0..3usize)],
+            train_fraction: any_f64(rng),
+            seed: rng.gen(),
+            train_subsample: if rng.gen() { Some(rng.gen()) } else { None },
+        };
+        let req = Request::Eval { ctx, pipeline: random_pipeline(rng), fraction: any_f64(rng) };
+        let bytes = encode_request(&req);
+        let back = decode_request(&bytes).expect("an encoded request decodes");
+        assert_eq!(encode_request(&back), bytes, "{req:?}");
+
+        let trial = random_trial(rng);
+        failures_seen[trial.failure.map_or(6, FailureKind::index)] = true;
+        let stats = WorkerStats { served: rng.gen(), ..WorkerStats::default() };
+        let resp = Response::Trial { trial, stats };
+        let bytes = encode_response(&resp);
+        let back = decode_response(&bytes).expect("an encoded response decodes");
+        assert_eq!(encode_response(&back), bytes, "{resp:?}");
+    });
+    assert!(failures_seen.iter().all(|&s| s), "every kind and None drawn: {failures_seen:?}");
+}
+
+#[test]
+fn random_bytes_never_panic_any_decoder() {
+    use autofp::core::{fnv1a, TrialStore};
+    use autofp::models::TrainedModel;
+    use autofp::preprocess::artifact::{decode_pipeline, decode_step};
+    use autofp::serve::ServeArtifact;
+    // Checksum-valid framing around random payloads, so the record
+    // decoders behind the store and artifact checksums see them too.
+    fn framed(magic: &[u8], payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = magic.to_vec();
+        for p in payloads {
+            out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            out.extend_from_slice(p);
+            out.extend_from_slice(&fnv1a(p).to_le_bytes());
+        }
+        out
+    }
+    let dir = std::env::temp_dir().join(format!("autofp-props-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let segment = dir.join("seg.log");
+    for_cases(0xAF, |rng| {
+        let len = rng.gen_range(0..96usize);
+        let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
+        // A leading valid tag makes the deeper branches reachable.
+        let mut tagged = bytes.clone();
+        tagged.insert(0, rng.gen_range(0..8u8));
+        for b in [&bytes, &tagged] {
+            let _ = autofp::evald::wire::decode_request(b);
+            let _ = autofp::evald::wire::decode_response(b);
+            let _ = autofp::serve::wire::decode_request(b);
+            let _ = autofp::serve::wire::decode_response(b);
+            let _ = decode_pipeline(b);
+            let _ = decode_step(b);
+            let _ = TrainedModel::decode(b);
+            let _ = ServeArtifact::decode(b);
+        }
+        let records = [tagged.clone(), bytes.clone(), tagged.clone()];
+        let _ = ServeArtifact::decode(&framed(b"AFPSERV1", &records));
+        std::fs::write(&segment, framed(b"AFPREPO1", &[tagged.clone()])).expect("write segment");
+        let _ = TrialStore::open(&segment, "ctx-props");
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,9 +6,7 @@ use autofp::data::SynthConfig;
 use autofp::models::classifier::ModelKind;
 use autofp::models::Classifier;
 use autofp::preprocess::{Pipeline, PreprocKind};
-use autofp::serve::{
-    fit_artifact, RowOutcome, ServeArtifact, ServeClient, ServeEngine, ServeServer,
-};
+use autofp::serve::{fit_artifact, RowOutcome, ServeArtifact, ServeClient, ServeEngine};
 use std::sync::Arc;
 
 fn spread_dataset(name: &str, seed: u64) -> autofp::data::Dataset {
@@ -158,7 +156,8 @@ fn tcp_serve_round_trip_matches_in_process_engine() {
     ));
 
     let engine = Arc::new(ServeEngine::new(artifact));
-    let server = ServeServer::bind("127.0.0.1:0", Arc::clone(&engine), 2).expect("bind");
+    let handler = autofp::serve::ServeHandler::new(Arc::clone(&engine), 2);
+    let server = autofp::evald::Server::bind("127.0.0.1:0", Arc::new(handler)).expect("bind");
     let addr = server.local_addr().expect("local addr");
     let handle = std::thread::spawn(move || server.run());
 
