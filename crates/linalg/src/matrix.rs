@@ -130,9 +130,10 @@ impl Matrix {
         }
     }
 
-    /// Iterate over rows as slices.
+    /// Iterate over the `nrows` rows as slices (empty slices when the
+    /// matrix has no columns).
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
+        (0..self.rows).map(move |r| self.row(r))
     }
 
     /// The underlying row-major buffer.
@@ -363,6 +364,17 @@ mod tests {
     #[should_panic(expected = "buffer length")]
     fn from_vec_checks_len() {
         let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn rows_iter_yields_every_row_even_without_columns() {
+        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let rows: Vec<&[f64]> = m.rows_iter().collect();
+        assert_eq!(rows, vec![&[1.0, 2.0][..], &[3.0, 4.0][..]]);
+        let empty = Matrix::zeros(3, 0);
+        assert_eq!(empty.rows_iter().count(), 3);
+        assert!(empty.rows_iter().all(<[f64]>::is_empty));
+        assert_eq!(Matrix::zeros(0, 4).rows_iter().count(), 0);
     }
 
     #[test]

@@ -189,6 +189,14 @@ impl Classifier for TrainedModel {
         }
     }
 
+    fn predict(&self, x: &Matrix) -> Vec<usize> {
+        match self {
+            TrainedModel::Lr(m) => m.predict(x),
+            TrainedModel::Xgb(m) => m.predict(x),
+            TrainedModel::Mlp(m) => m.predict(x),
+        }
+    }
+
     fn predict_proba_row(&self, row: &[f64], n_classes: usize) -> Vec<f64> {
         match self {
             TrainedModel::Lr(m) => m.predict_proba_row(row, n_classes),

@@ -151,6 +151,24 @@ impl Classifier for Gbdt {
         crate::linear::argmax(&self.scores(row))
     }
 
+    /// Tree by tree over all rows: each row's score for class `k` adds
+    /// the trees in the same round order as `Gbdt::scores`.
+    fn predict(&self, x: &Matrix) -> Vec<usize> {
+        let k = self.n_classes;
+        if k == 0 {
+            return vec![0; x.nrows()];
+        }
+        let mut f = vec![0.0; x.nrows() * k];
+        for round in &self.trees {
+            for (c, tree) in round.iter().enumerate() {
+                for (fr, row) in f.chunks_exact_mut(k).zip(x.rows_iter()) {
+                    fr[c] += self.learning_rate * tree.predict_row(row);
+                }
+            }
+        }
+        f.chunks_exact(k).map(crate::linear::argmax).collect()
+    }
+
     fn predict_proba_row(&self, row: &[f64], n_classes: usize) -> Vec<f64> {
         let mut f = self.scores(row);
         softmax_inplace(&mut f);

@@ -69,17 +69,22 @@ pub struct LogisticRegression {
 impl LogisticRegression {
     /// Raw class scores (logits) for a feature row.
     fn logits(&self, row: &[f64]) -> Vec<f64> {
+        let mut z = vec![0.0; self.n_classes];
+        self.logits_into(row, &mut z);
+        z
+    }
+
+    /// [`LogisticRegression::logits`] into `z` (`n_classes` long).
+    fn logits_into(&self, row: &[f64], z: &mut [f64]) {
         let d = self.weights.ncols() - 1;
-        (0..self.n_classes)
-            .map(|c| {
-                let w = self.weights.row(c);
-                let mut z = w[d]; // bias
-                for (j, &v) in row.iter().enumerate().take(d) {
-                    z += w[j] * sanitize(v);
-                }
-                z
-            })
-            .collect()
+        for (c, zc) in z.iter_mut().enumerate() {
+            let w = self.weights.row(c);
+            let mut acc = w[d]; // bias
+            for (j, &v) in row.iter().enumerate().take(d) {
+                acc += w[j] * sanitize(v);
+            }
+            *zc = acc;
+        }
     }
 }
 
@@ -87,6 +92,16 @@ impl Classifier for LogisticRegression {
     fn predict_row(&self, row: &[f64]) -> usize {
         let z = self.logits(row);
         argmax(&z)
+    }
+
+    fn predict(&self, x: &Matrix) -> Vec<usize> {
+        let mut z = vec![0.0; self.n_classes];
+        x.rows_iter()
+            .map(|row| {
+                self.logits_into(row, &mut z);
+                argmax(&z)
+            })
+            .collect()
     }
 
     fn predict_proba_row(&self, row: &[f64], n_classes: usize) -> Vec<f64> {

@@ -86,9 +86,18 @@ pub struct MlpClassifier {
 
 impl MlpClassifier {
     fn forward(&self, row: &[f64]) -> Vec<f64> {
+        let mut hidden = vec![0.0; self.w1.nrows()];
+        let mut out = vec![0.0; self.n_classes];
+        self.forward_into(row, &mut hidden, &mut out);
+        out
+    }
+
+    /// [`MlpClassifier::forward`] with caller-owned buffers: `hidden`
+    /// (`w1.nrows()` long) takes the hidden activations and `out`
+    /// (`n_classes` long) the logits.
+    fn forward_into(&self, row: &[f64], hidden: &mut [f64], out: &mut [f64]) {
         let d = self.w1.ncols() - 1;
         let h = self.w1.nrows();
-        let mut hidden = vec![0.0; h];
         for (a, wr) in hidden.iter_mut().zip(self.w1.rows_iter()) {
             let mut z = wr[d];
             for (j, &v) in row.iter().enumerate().take(d) {
@@ -96,22 +105,31 @@ impl MlpClassifier {
             }
             *a = z.max(0.0); // ReLU
         }
-        (0..self.n_classes)
-            .map(|c| {
-                let wr = self.w2.row(c);
-                let mut z = wr[h];
-                for (j, &a) in hidden.iter().enumerate() {
-                    z += wr[j] * a;
-                }
-                z
-            })
-            .collect()
+        for (c, zc) in out.iter_mut().enumerate() {
+            let wr = self.w2.row(c);
+            let mut z = wr[h];
+            for (j, &a) in hidden.iter().enumerate() {
+                z += wr[j] * a;
+            }
+            *zc = z;
+        }
     }
 }
 
 impl Classifier for MlpClassifier {
     fn predict_row(&self, row: &[f64]) -> usize {
         crate::linear::argmax(&self.forward(row))
+    }
+
+    fn predict(&self, x: &Matrix) -> Vec<usize> {
+        let mut hidden = vec![0.0; self.w1.nrows()];
+        let mut out = vec![0.0; self.n_classes];
+        x.rows_iter()
+            .map(|row| {
+                self.forward_into(row, &mut hidden, &mut out);
+                crate::linear::argmax(&out)
+            })
+            .collect()
     }
 
     fn predict_proba_row(&self, row: &[f64], n_classes: usize) -> Vec<f64> {

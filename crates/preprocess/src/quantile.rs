@@ -7,11 +7,32 @@
 //! `output = Normal` the position is pushed through the inverse normal
 //! CDF. Values outside the fitted range clip to the boundaries, exactly
 //! as scikit-learn clips.
+//!
+//! **Kernel invariant.** A transformed cell is a function of its own value
+//! and its column's reference table only, computed by one fixed sequence
+//! of float operations: the NaN rule, then the two clips, then the
+//! interpolation `((idx - 1) + frac) / (q - 1)` with
+//! `idx = refs.partition_point(|&r| r < v)`. The per-element float
+//! operations and their order are a contract, pinned by `tests/kernels.rs`
+//! and every golden and bit-identity suite. The layout:
+//!
+//! - the transform walks one column at a time, so that column's
+//!   references stay in L1;
+//! - it searches blocks of 8 rows side by side with a lockstep lower
+//!   bound, whose per-step selects compile to conditional moves and which
+//!   returns exactly what `partition_point` returns, unsorted tables
+//!   included (it takes the same probe sequence);
+//! - the leftover rows of a column go through the scalar path, and both
+//!   paths finish a cell through the same `position` helper.
 
 use crate::preproc::OutputDist;
 use autofp_linalg::dist::norm_ppf;
 use autofp_linalg::stats::quantile_sorted;
 use autofp_linalg::Matrix;
+use std::hint::select_unpredictable;
+
+/// Rows whose lookups run side by side.
+const LANES: usize = 8;
 
 /// Fitted quantile transform (per-column reference quantiles).
 #[derive(Debug, Clone)]
@@ -52,20 +73,57 @@ impl FittedQuantile {
         if cols == 0 {
             return;
         }
-        for row in x.as_mut_slice().chunks_exact_mut(cols) {
-            for (v, refs) in row.iter_mut().zip(&self.references) {
-                let pos = quantile_position(refs, *v);
-                *v = match self.output {
-                    OutputDist::Uniform => pos,
-                    OutputDist::Normal => norm_ppf(pos),
-                };
+        let rows = x.nrows();
+        let blocked = rows - rows % LANES;
+        let data = x.as_mut_slice();
+        let out = |pos: f64| match self.output {
+            OutputDist::Uniform => pos,
+            OutputDist::Normal => norm_ppf(pos),
+        };
+        for (j, refs) in self.references.iter().enumerate() {
+            for start in (0..blocked).step_by(LANES) {
+                let cell = |u: usize| (start + u) * cols + j;
+                let vals: [f64; LANES] = std::array::from_fn(|u| data[cell(u)]);
+                let idx = lower_bound_lanes(refs, &vals);
+                for u in 0..LANES {
+                    data[cell(u)] = out(position(refs, vals[u], idx[u]));
+                }
+            }
+            for i in blocked..rows {
+                let v = &mut data[i * cols + j];
+                *v = out(position(refs, *v, refs.partition_point(|&r| r < *v)));
             }
         }
     }
 }
 
-/// Interpolated quantile position of `v` within sorted `refs`, in `[0, 1]`.
-fn quantile_position(refs: &[f64], v: f64) -> f64 {
+/// `refs.partition_point(|&r| r < v)` for every lane of `vals`, in
+/// lockstep: the probe sequence of the standard library's binary search
+/// (halve the window, keep `mid` when `refs[mid] < v`, then step past a
+/// final `refs[base] < v`), with the selects written so they cannot
+/// become branches.
+#[inline]
+fn lower_bound_lanes(refs: &[f64], vals: &[f64; LANES]) -> [usize; LANES] {
+    let mut base = [0usize; LANES];
+    let mut size = refs.len();
+    while size > 1 {
+        let half = size / 2;
+        for (b, &v) in base.iter_mut().zip(vals) {
+            let mid = *b + half;
+            *b = select_unpredictable(refs[mid] < v, mid, *b);
+        }
+        size -= half;
+    }
+    for (b, &v) in base.iter_mut().zip(vals) {
+        *b += usize::from(refs[*b] < v);
+    }
+    base
+}
+
+/// Interpolated quantile position of `v` within sorted `refs`, in `[0, 1]`,
+/// given `idx = refs.partition_point(|&r| r < v)`.
+#[inline]
+fn position(refs: &[f64], v: f64, idx: usize) -> f64 {
     let q = refs.len();
     debug_assert!(q >= 2);
     if v.is_nan() {
@@ -81,8 +139,6 @@ fn quantile_position(refs: &[f64], v: f64) -> f64 {
     if v >= hi {
         return 1.0;
     }
-    // Binary search for the first reference >= v.
-    let idx = refs.partition_point(|&r| r < v);
     // refs[idx-1] < v <= refs[idx]
     let (a, b) = (refs[idx - 1], refs[idx]);
     let frac = if b > a { (v - a) / (b - a) } else { 0.0 };
@@ -102,6 +158,32 @@ mod tests {
         fitted.transform(&mut m);
         for (i, v) in m.col(0).iter().enumerate() {
             assert!((v - i as f64 / 6.0).abs() < 1e-9, "{:?}", m.col(0));
+        }
+    }
+
+    #[test]
+    fn lockstep_lower_bound_is_partition_point() {
+        // Sorted, tied and unsorted tables of every length up to 40, and
+        // probes at, between and beyond their values.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 9) as f64 - 4.0
+        };
+        for len in 1..=40 {
+            let unsorted: Vec<f64> = (0..len).map(|_| next()).collect();
+            let mut sorted = unsorted.clone();
+            sorted.sort_by(f64::total_cmp);
+            for refs in [&sorted, &unsorted] {
+                for step in [0.0, 0.5, -0.0, f64::NAN, 9.0] {
+                    let vals: [f64; LANES] = std::array::from_fn(|u| next() + step * u as f64);
+                    let want: Vec<usize> =
+                        vals.iter().map(|&v| refs.partition_point(|&r| r < v)).collect();
+                    assert_eq!(lower_bound_lanes(refs, &vals).to_vec(), want, "{refs:?} {vals:?}");
+                }
+            }
         }
     }
 

@@ -7,7 +7,8 @@
 //! [`FailureKind::NonFinite`]. Rejected rows land in the outcome
 //! stream as [`RowOutcome::Rejected`] with per-reason counters —
 //! they never poison the clean rows around them, which are transformed
-//! and predicted exactly as the in-search evaluator would.
+//! and predicted exactly as the in-search evaluator would: one packed
+//! transform and one batched `predict` call per chunk.
 //!
 //! Because every fitted transform is row-independent (column transforms
 //! use only frozen fit statistics; the normalizer uses only the row
@@ -90,14 +91,15 @@ impl ServeEngine {
 
     /// Validate + transform + predict one chunk of rows.
     ///
-    /// Clean rows are packed into a single matrix and transformed
-    /// together: every fitted transform is row-independent, so the
-    /// packed transform is bit-identical to transforming each row
-    /// alone (or the whole validation matrix at once, which is what
-    /// the train/serve skew test pins), while paying one allocation
-    /// per chunk instead of one per row. Quarantined rows are excluded
-    /// from the matrix for the same reason — their absence cannot
-    /// change a clean row's floats.
+    /// Clean rows are packed into a single matrix, transformed together
+    /// and predicted with one batched `predict` call: every fitted
+    /// transform and every model is row-independent, so the packed
+    /// matrix is bit-identical to handling each row alone (or the whole
+    /// validation matrix at once, which is what the train/serve skew
+    /// test pins), while the transform and the model reuse their
+    /// buffers across the chunk instead of allocating per row.
+    /// Quarantined rows are excluded from the matrix for the same
+    /// reason — their absence cannot change a clean row's floats.
     fn predict_chunk(&self, rows: &[Vec<f64>]) -> Vec<RowOutcome> {
         let d = self.artifact.n_features();
         let mut outcomes = Vec::with_capacity(rows.len());
@@ -117,8 +119,9 @@ impl ServeEngine {
         if !clean.is_empty() {
             let mut m = Matrix::from_vec(clean.len(), d, data);
             self.artifact.pipeline.transform(&mut m);
-            for (k, &i) in clean.iter().enumerate() {
-                outcomes[i] = RowOutcome::Predicted(self.artifact.model.predict_row(m.row(k)));
+            let classes = self.artifact.model.predict(&m);
+            for (&i, class) in clean.iter().zip(classes) {
+                outcomes[i] = RowOutcome::Predicted(class);
             }
         }
         outcomes

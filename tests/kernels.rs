@@ -251,6 +251,36 @@ fn prep_kernels_are_bit_identical() {
     check(prep_fingerprints(), PREP_GOLDEN);
 }
 
+/// A batched `predict` equals `predict_row` over the rows, for every model
+/// family on every dataset and budget, both on the concrete model and
+/// through the `TrainedModel` dispatch the serve engine calls. The
+/// goldens above read probabilities row by row, so this pins the batched
+/// path to them.
+#[test]
+fn batched_predict_equals_row_by_row() {
+    let cancel = CancelToken::new();
+    for (name, d) in datasets() {
+        let empty = Matrix::zeros(0, d.x.ncols());
+        for kind in [ModelKind::Lr, ModelKind::Mlp, ModelKind::Xgb] {
+            for budget in [1.0, 0.3] {
+                let model = TrainedModel::train(kind, 5, &d.x, &d.y, d.n_classes, budget, &cancel);
+                let concrete: &dyn Classifier = match &model {
+                    TrainedModel::Lr(m) => m,
+                    TrainedModel::Xgb(m) => m,
+                    TrainedModel::Mlp(m) => m,
+                };
+                let via_enum: &dyn Classifier = &model;
+                for (path, m) in [("concrete", concrete), ("TrainedModel", via_enum)] {
+                    let rows: Vec<usize> = d.x.rows_iter().map(|r| m.predict_row(r)).collect();
+                    let tag = format!("{kind:?}/{name}/b{budget}/{path}");
+                    assert_eq!(m.predict(&d.x), rows, "{tag}");
+                    assert_eq!(m.predict(&empty), Vec::<usize>::new(), "{tag}/0 rows");
+                }
+            }
+        }
+    }
+}
+
 const MODEL_GOLDEN: &[(&str, u64)] = &[
     ("Lr/binary/b1", 0xbd6b2774e95a3c8e),
     ("Lr/binary/b0.3", 0x78f068686cc12448),

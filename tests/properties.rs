@@ -160,6 +160,98 @@ fn power_transform_is_monotone_per_column() {
     });
 }
 
+/// Every parameterization the transforms branch on, with quantile tables
+/// of 2 references, of fewer than the training rows, and capped at them.
+fn every_preproc() -> Vec<Preproc> {
+    let mut all = vec![
+        Preproc::Binarizer { threshold: 0.0 },
+        Preproc::MaxAbsScaler,
+        Preproc::MinMaxScaler,
+        Preproc::PowerTransformer { standardize: true },
+        Preproc::PowerTransformer { standardize: false },
+        Preproc::StandardScaler { with_mean: true },
+        Preproc::StandardScaler { with_mean: false },
+    ];
+    all.extend([Norm::L1, Norm::L2, Norm::Max].map(|norm| Preproc::Normalizer { norm }));
+    for output in [OutputDist::Uniform, OutputDist::Normal] {
+        for n_quantiles in [2, 5, 1000] {
+            all.push(Preproc::QuantileTransformer { n_quantiles, output });
+        }
+    }
+    all
+}
+
+/// Training columns: ties, continuous, all non-finite (quantile refs
+/// `[0, 0]`), and constant.
+fn tied_training_matrix(rng: &mut StdRng) -> Matrix {
+    let rows = rng.gen_range(2..30usize);
+    let ties = [-1.0, 0.0, 0.0, 2.0, 2.0, 2.0, 5.0];
+    let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let mut data = Vec::with_capacity(rows * 4);
+    for _ in 0..rows {
+        data.push(ties[rng.gen_range(0..ties.len())]);
+        data.push(rng.gen_range(-50.0..50.0));
+        data.push(non_finite[rng.gen_range(0..non_finite.len())]);
+        data.push(3.0);
+    }
+    Matrix::from_vec(rows, 4, data)
+}
+
+/// A cell to transform: a training value (so equal to a reference), a
+/// midpoint between two of them, a value outside the fitted range, or
+/// one of NaN, ±0.0, ±inf and ±1e300.
+fn probe_value(rng: &mut StdRng, train: &Matrix) -> f64 {
+    let cells = train.as_slice();
+    let pick = |rng: &mut StdRng| cells[rng.gen_range(0..cells.len())];
+    let special = [
+        f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e300,
+        -1e300,
+    ];
+    match rng.gen_range(0..5u32) {
+        0 => pick(rng),
+        1 => (pick(rng) + pick(rng)) / 2.0,
+        2 => pick(rng) * 100.0 + if rng.gen_range(0..2u32) == 0 { 60.0 } else { -60.0 },
+        3 => special[rng.gen_range(0..special.len())],
+        _ => rng.gen_range(-60.0..60.0),
+    }
+}
+
+/// Transforming `n` rows together equals transforming each row alone,
+/// bit for bit, for every fitted preprocessor and every `n` in `0..=25`
+/// (every tail length of a blocked kernel; a single row takes the
+/// scalar path).
+#[test]
+fn every_transform_is_row_independent() {
+    for_cases(0xAF, |rng| {
+        let train = tied_training_matrix(rng);
+        let cols = train.ncols();
+        for p in every_preproc() {
+            let fitted = p.fit(&train);
+            for n in 0..=25usize {
+                let data: Vec<f64> = (0..n * cols).map(|_| probe_value(rng, &train)).collect();
+                let x = Matrix::from_vec(n, cols, data);
+                let mut whole = x.clone();
+                fitted.transform(&mut whole);
+                for (i, row) in x.rows_iter().enumerate() {
+                    let mut alone = Matrix::from_vec(1, cols, row.to_vec());
+                    fitted.transform(&mut alone);
+                    let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(whole.row(i)),
+                        bits(alone.row(0)),
+                        "{p:?}, row {i} of {n}: input {row:?}"
+                    );
+                }
+            }
+        }
+    });
+}
+
 #[test]
 fn mutation_preserves_length_bounds() {
     for_cases(0xA9, |rng| {
